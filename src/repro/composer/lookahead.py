@@ -48,7 +48,7 @@ plans after a device loss).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from repro.hw.description import HOST_NODE
 from repro.runtime.schedulers.base import (
@@ -87,6 +87,19 @@ class WindowPlan:
     fallback: bool
 
 
+class _Step(NamedTuple):
+    """One task's planning invariants, compiled once per window."""
+
+    earliest: float
+    #: plan indices of the task's in-window dependencies
+    deps: tuple[int, ...]
+    #: (handle_id, nbytes) per read operand, then per written operand
+    reads: tuple[tuple[int, int], ...]
+    writes: tuple[tuple[int, int], ...]
+    #: (memory node, worker ids, predicted exec seconds) per candidate
+    cands: list[tuple[int, tuple[int, ...], float]]
+
+
 class _SimState:
     """One speculative timeline the planner extends task by task.
 
@@ -94,47 +107,47 @@ class _SimState:
     per-worker availability, per-(node, direction) link occupancy, and
     the projected residency (node → ready time) of every handle the
     window touches.
+
+    States are copy-on-write: a child shares every map it does not
+    change with its parent, and every map, once shared, is never
+    mutated again — a change replaces the map (and the residency or
+    host-seen entry) instead.  Extending a state therefore shallow-copies
+    only the maps it touches instead of deep-copying all of them.
     """
 
     __slots__ = (
         "avail",
         "link",
         "res",
+        "host_seen",
         "ends",
         "choice",
-        "makespan",
         "fused",
-        "host_seen",
+        "makespan",
     )
 
     def __init__(
         self,
         avail: list[float],
+        link: dict[tuple[int, str], float],
         res: dict[int, dict[int, float]],
+        host_seen: dict[int, tuple],
+        ends: tuple[float, ...] = (),
+        choice: tuple[int, ...] = (),
+        fused: tuple[tuple[int, int], ...] = (),
+        makespan: float = 0.0,
     ) -> None:
         self.avail = avail
-        self.link: dict[tuple[int, str], float] = {}
+        self.link = link
         self.res = res
-        self.ends: list[float] = []
-        self.choice: list[int] = []
-        self.makespan = 0.0
+        #: handle_id -> (host-ready time, writer node, writer plan-index,
+        #: host-read-since-write?)
+        self.host_seen = host_seen
+        self.ends = ends
+        self.choice = choice
         #: (writer plan-index, consumer plan-index) fused edges
-        self.fused: list[tuple[int, int]] = []
-        #: handle_id -> [host-ready time, writer node, writer plan-index,
-        #: host-read-since-write?]
-        self.host_seen: dict[int, list] = {}
-
-    def clone(self) -> "_SimState":
-        s = _SimState.__new__(_SimState)
-        s.avail = list(self.avail)
-        s.link = dict(self.link)
-        s.res = {hid: dict(nodes) for hid, nodes in self.res.items()}
-        s.ends = list(self.ends)
-        s.choice = list(self.choice)
-        s.makespan = self.makespan
-        s.fused = list(self.fused)
-        s.host_seen = {hid: list(v) for hid, v in self.host_seen.items()}
-        return s
+        self.fused = fused
+        self.makespan = makespan
 
 
 class LookaheadScheduler(BulkScheduler):
@@ -225,7 +238,9 @@ class LookaheadScheduler(BulkScheduler):
 
     def plan_window(self, tasks: Sequence["Task"], view: EngineView) -> None:
         self.n_windows += 1
+        index = {t.task_id: i for i, t in enumerate(tasks)}
         candidates: list[list[Decision]] = []
+        steps: list[_Step] = []
         plannable = True
         for task in tasks:
             cands = enumerate_candidates(task, view)
@@ -237,6 +252,10 @@ class LookaheadScheduler(BulkScheduler):
                 for d in cands
             ):
                 plannable = False
+            elif plannable:
+                # compiled right after the calibration check, while the
+                # view still caches this task's model footprint
+                steps.append(self._compile(task, cands, index, view))
         if not plannable:
             # calibration phase (or history-less codelets): the inner
             # dmda places every task — identical semantics to running
@@ -254,50 +273,19 @@ class LookaheadScheduler(BulkScheduler):
             )
             return
 
-        exec_est = self._exec_estimates(tasks, candidates, view)
-        in_deps = self._window_deps(tasks)
         initial = self._initial_state(tasks, view)
 
-        # greedy dmda-style baseline under the identical cost model
-        greedy = initial.clone()
-        for i, task in enumerate(tasks):
-            best_j, best_key = 0, None
-            for j, d in enumerate(candidates[i]):
-                probe = greedy.clone()
-                end = self._apply(
-                    probe, i, task, d, exec_est[i][j], in_deps[i], view
-                )
-                key = (end, d.anchor.unit_id)
-                if best_key is None or key < best_key:
-                    best_j, best_key = j, key
-            self._apply(
-                greedy,
-                i,
-                task,
-                candidates[i][best_j],
-                exec_est[i][best_j],
-                in_deps[i],
-                view,
+        # greedy dmda-style baseline under the identical cost model: each
+        # task keeps its minimum-(end, anchor unit) child
+        greedy = initial
+        for i, step in enumerate(steps):
+            greedy = min(
+                self._expand(greedy, i, step, view),
+                key=lambda s: (s.ends[-1], step.cands[s.choice[-1]][1][0]),
             )
-            greedy.choice.append(best_j)
+            self._commit(greedy, i, step, view)
 
-        # beam-pruned DP over joint (variant, worker) choices
-        beam = [initial]
-        for i, task in enumerate(tasks):
-            grown: list[_SimState] = []
-            for state in beam:
-                for j, d in enumerate(candidates[i]):
-                    nxt = state.clone()
-                    self._apply(
-                        nxt, i, task, d, exec_est[i][j], in_deps[i], view
-                    )
-                    nxt.choice.append(j)
-                    grown.append(nxt)
-            grown.sort(
-                key=lambda s: (s.makespan, sum(s.avail), tuple(s.choice))
-            )
-            beam = grown[: self.beam_width]
-
+        beam = self._beam(initial, steps, view)
         best = beam[0]
         chosen = best if best.makespan < greedy.makespan - _EPS else greedy
         self.n_planned_windows += 1
@@ -324,30 +312,34 @@ class LookaheadScheduler(BulkScheduler):
     # cost model internals
     # ------------------------------------------------------------------
 
-    def _exec_estimates(
-        self,
-        tasks: Sequence["Task"],
-        candidates: list[list[Decision]],
-        view: EngineView,
-    ) -> list[list[float]]:
-        """Model-predicted kernel seconds per (task, candidate)."""
-        out: list[list[float]] = []
-        for task, cands in zip(tasks, candidates):
-            row = []
-            for d in cands:
-                est = view.predict_exec(task, d.variant, d.anchor)
-                assert est is not None  # plannable ⇒ calibrated
-                row.append(est)
-            out.append(row)
-        return out
-
     @staticmethod
-    def _window_deps(tasks: Sequence["Task"]) -> list[tuple[int, ...]]:
-        """In-window dependency indices per task (submission order)."""
-        index = {t.task_id: i for i, t in enumerate(tasks)}
-        return [
-            tuple(index[d] for d in t.dep_ids if d in index) for t in tasks
+    def _compile(
+        task: "Task",
+        cands: list[Decision],
+        index: dict[int, int],
+        view: EngineView,
+    ) -> _Step:
+        """Compile one task of the window (``index``: task id → plan
+        index) into its planning step."""
+        ops = [
+            (op.mode, op.handle.handle_id, op.handle.nbytes)
+            for op in task.operands
         ]
+        return _Step(
+            task.earliest_start,
+            tuple(index[d] for d in task.dep_ids if d in index),
+            tuple((hid, nb) for mode, hid, nb in ops if mode.reads),
+            tuple((hid, nb) for mode, hid, nb in ops if mode.writes),
+            [
+                (
+                    d.anchor.memory_node,
+                    tuple(u.unit_id for u in d.workers),
+                    # plannable ⇒ calibrated: never None here
+                    view.predict_exec(task, d.variant, d.anchor),
+                )
+                for d in cands
+            ],
+        )
 
     @staticmethod
     def _initial_state(
@@ -355,7 +347,6 @@ class LookaheadScheduler(BulkScheduler):
     ) -> _SimState:
         """Seed the simulation from live engine state: worker clocks and
         the committed MSI residency of every window operand."""
-        avail = list(view.worker_available_times())
         res: dict[int, dict[int, float]] = {}
         for task in tasks:
             for op in task.operands:
@@ -364,128 +355,157 @@ class LookaheadScheduler(BulkScheduler):
                     res[h.handle_id] = {
                         n: h.ready_at(n) for n in h.valid_nodes()
                     }
-        return _SimState(avail, res)
+        return _SimState(list(view.worker_available_times()), {}, res, {})
 
+    def _beam(
+        self, initial: _SimState, steps: list[_Step], view: EngineView
+    ) -> list[_SimState]:
+        """Beam-pruned DP over joint (variant, worker) choices; returns
+        the final beam, best first.  Only survivors get their writes
+        committed — a pruned child never pays for them."""
+        beam = [initial]
+        for i, step in enumerate(steps):
+            grown = [
+                c for s in beam for c in self._expand(s, i, step, view)
+            ]
+            grown.sort(key=lambda s: (s.makespan, sum(s.avail), s.choice))
+            beam = grown[: self.beam_width]
+            for s in beam:
+                self._commit(s, i, step, view)
+        return beam
+
+    @staticmethod
     def _transfer(
-        self,
-        state: _SimState,
+        link: dict[tuple[int, str], float],
         src: int,
         dst: int,
         nbytes: int,
         earliest: float,
         view: EngineView,
     ) -> float:
-        """Model one copy src→dst with link serialization; returns the
-        arrival time.  Device-to-device stages through the host, like
-        the engine's committed transfers."""
+        """Model one copy src→dst with link serialization (recorded in
+        ``link``); returns the arrival time.  Device-to-device stages
+        through the host, like the engine's committed transfers."""
         if src != HOST_NODE and dst != HOST_NODE:
-            earliest = self._transfer(
-                state, src, HOST_NODE, nbytes, earliest, view
+            earliest = LookaheadScheduler._transfer(
+                link, src, HOST_NODE, nbytes, earliest, view
             )
             src = HOST_NODE
         direction = "d2h" if dst == HOST_NODE else "h2d"
         link_node = src if dst == HOST_NODE else dst
         key = (link_node, direction)
-        busy_until = state.link.get(key)
+        busy_until = link.get(key)
         if busy_until is None:
             # seed from the live DMA queue: transfers committed by
             # earlier windows may still occupy the link
             busy_until = view.link_available(link_node, direction)
-        start = max(earliest, busy_until)
-        end = start + view.machine.transfer_time(src, dst, nbytes)
-        state.link[key] = end
+        if busy_until > earliest:
+            earliest = busy_until
+        end = earliest + view.transfer_time(src, dst, nbytes)
+        link[key] = end
         return end
 
-    def _apply(
-        self,
-        state: _SimState,
-        i: int,
-        task: "Task",
-        decision: Decision,
-        exec_s: float,
-        deps: tuple[int, ...],
-        view: EngineView,
-    ) -> float:
-        """Extend ``state`` with one placement; returns the modeled end."""
-        node = decision.anchor.memory_node
-        ready = task.earliest_start
+    def _expand(
+        self, state: _SimState, i: int, step: _Step, view: EngineView
+    ) -> list[_SimState]:
+        """Every child of ``state`` at step ``i``, one per candidate, in
+        candidate order.  ``state`` is left untouched; the step's writes
+        are applied later by :meth:`_commit`."""
+        earliest, deps, reads, _, cands = step
+        fusion = self.fusion
+        ready = earliest
         ends = state.ends
-        for j in deps:
-            e = ends[j]
-            if e > ready:
-                ready = e
-        data_ready = ready
-        res = state.res
-        for op in task.operands:
-            if not op.mode.reads:
-                continue
-            h = op.handle
-            hid = h.handle_id
-            rmap = res[hid]
-            seen = state.host_seen.get(hid)
-            if not self.fusion and seen is not None:
-                # conservative composition: the in-window intermediate
-                # materializes on the host before any consumer
-                t = seen[0]
-                if node != HOST_NODE:
-                    t = t + view.machine.transfer_time(
-                        HOST_NODE, node, h.nbytes
+        for d in deps:
+            if ends[d] > ready:
+                ready = ends[d]
+        s_res, s_seen, s_link = state.res, state.host_seen, state.link
+        s_avail, s_choice, s_make = state.avail, state.choice, state.makespan
+        s_fused = state.fused
+        children = []
+        for j, (node, wids, exec_s) in enumerate(cands):
+            data_ready = ready
+            res = s_res
+            seen_map = s_seen
+            link = s_link
+            fused = s_fused
+            for hid, nbytes in reads:
+                seen = seen_map.get(hid)
+                if not fusion and seen is not None:
+                    # conservative composition: the in-window intermediate
+                    # materializes on the host before any consumer
+                    t = seen[0]
+                    if node != HOST_NODE:
+                        t = t + view.transfer_time(HOST_NODE, node, nbytes)
+                    if t > data_ready:
+                        data_ready = t
+                    continue
+                rmap = res[hid]
+                t = rmap.get(node)
+                if t is not None:
+                    if (
+                        fusion
+                        and node != HOST_NODE
+                        and seen is not None
+                        and seen[1] == node
+                        and not seen[3]
+                    ):
+                        fused = fused + ((seen[2], i),)
+                else:
+                    # cheapest-ready valid source, host preferred (the
+                    # engine's pick_source tie-break)
+                    src, src_ready = HOST_NODE, None
+                    for n, r in rmap.items():
+                        if src_ready is None or r < src_ready:
+                            src, src_ready = n, r
+                    if res is s_res:  # first change: copy, never mutate
+                        res, link = res.copy(), link.copy()
+                    t = self._transfer(
+                        link, src, node, nbytes,
+                        max(ready, src_ready or 0.0), view,
                     )
+                    # the staged copy becomes SHARED there
+                    res[hid] = {**rmap, node: t}
                 if t > data_ready:
                     data_ready = t
-                continue
-            at_node = rmap.get(node)
-            if at_node is not None:
-                if at_node > data_ready:
-                    data_ready = at_node
-                if (
-                    self.fusion
-                    and node != HOST_NODE
-                    and seen is not None
-                    and seen[1] == node
-                    and not seen[3]
-                ):
-                    state.fused.append((seen[2], i))
-            else:
-                # cheapest-ready valid source, host preferred (the
-                # engine's pick_source tie-break)
-                src, src_ready = HOST_NODE, None
-                for n, r in rmap.items():
-                    if src_ready is None or r < src_ready:
-                        src, src_ready = n, r
-                t = self._transfer(
-                    state,
-                    src,
-                    node,
-                    h.nbytes,
-                    max(ready, src_ready or 0.0),
-                    view,
-                )
-                rmap[node] = t  # staged copy becomes SHARED there
-                if t > data_ready:
-                    data_ready = t
-            if node == HOST_NODE and seen is not None:
-                seen[3] = True  # an interleaving host reader
-        workers = decision.workers
-        worker_free = max(state.avail[u.unit_id] for u in workers)
-        start = max(ready, data_ready, worker_free)
-        end = start + exec_s
-        for u in workers:
-            state.avail[u.unit_id] = end
-        for op in task.operands:
-            if op.mode.writes:
-                h = op.handle
-                # MSI write: the target node becomes the sole owner
-                res[h.handle_id] = {node: end}
-                # [host-ready time, device node, writer index, host-read?]
-                host_t = (
-                    end
-                    if node == HOST_NODE
-                    else end
-                    + view.machine.transfer_time(node, HOST_NODE, h.nbytes)
-                )
-                state.host_seen[h.handle_id] = [host_t, node, i, False]
-        ends.append(end)
-        if end > state.makespan:
-            state.makespan = end
-        return end
+                if node == HOST_NODE and seen is not None and not seen[3]:
+                    if seen_map is s_seen:
+                        seen_map = seen_map.copy()
+                    seen_map[hid] = seen[:3] + (True,)  # a host reader
+            avail = s_avail[:]
+            start = data_ready  # and every worker of the placement free
+            for w in wids:
+                if avail[w] > start:
+                    start = avail[w]
+            end = start + exec_s
+            for w in wids:
+                avail[w] = end
+            children.append(_SimState(
+                avail, link, res, seen_map,
+                ends + (end,),
+                s_choice + (j,),
+                fused,
+                end if end > s_make else s_make,
+            ))
+        return children
+
+    @staticmethod
+    def _commit(
+        state: _SimState, i: int, step: _Step, view: EngineView
+    ) -> None:
+        """Apply the writes of ``state``'s last placement (step ``i``)."""
+        writes = step.writes
+        if not writes:
+            return
+        node = step.cands[state.choice[-1]][0]
+        end = state.ends[-1]
+        res = state.res = state.res.copy()
+        seen_map = state.host_seen = state.host_seen.copy()
+        for hid, nbytes in writes:
+            # MSI write: the target node becomes the sole owner
+            res[hid] = {node: end}
+            host_t = (
+                end
+                if node == HOST_NODE
+                else end + view.transfer_time(node, HOST_NODE, nbytes)
+            )
+            seen_map[hid] = (host_t, node, i, False)

@@ -397,7 +397,7 @@ class Engine:
                 t_src = h._ready_at[src]
                 if t_src > t_link:
                     t_link = t_src
-                t_link += self._transfer_time(src, node, h.nbytes)
+                t_link += self.transfer_time(src, node, h.nbytes)
             if t_link > ready:
                 ready = t_link
         return ready
@@ -410,13 +410,13 @@ class Engine:
                 continue
             h = op.handle
             if h._states[node] is invalid:
-                cost += self._transfer_time(h.pick_source(), node, h.nbytes)
+                cost += self.transfer_time(h.pick_source(), node, h.nbytes)
         return cost
 
-    def _transfer_time(self, src: int, dst: int, nbytes: int) -> float:
-        """Memoized :meth:`Machine.transfer_time` (called per candidate
-        node on the scheduling hot path; the answer only depends on the
-        static link specs)."""
+    def transfer_time(self, src: int, dst: int, nbytes: int) -> float:
+        """EngineView: memoized :meth:`Machine.transfer_time` (called per
+        candidate node on the scheduling hot path; the answer only
+        depends on the static link specs)."""
         key = (src, dst, nbytes)
         dur = self._tt_cache.get(key)
         if dur is None:
@@ -1451,7 +1451,7 @@ class Engine:
         earliest = self._ensure_capacity(node, handle, earliest, pinned)
         direction = "d2h" if node == HOST_NODE else "h2d"
         link_node = src if node == HOST_NODE else node
-        dur = self._transfer_time(src, node, handle.nbytes)
+        dur = self.transfer_time(src, node, handle.nbytes)
         resend = 0
         while True:
             link_free = self._link_available(link_node, direction)

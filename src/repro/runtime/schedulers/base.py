@@ -69,6 +69,12 @@ class EngineView(Protocol):
         their simulated link occupancy from this."""
         ...
 
+    def transfer_time(self, src: int, dst: int, nbytes: int) -> float:
+        """Seconds to copy ``nbytes`` from memory node ``src`` to
+        ``dst`` on an idle link (memoized; schedulers price transfers
+        through this, never through ``machine.transfer_time``)."""
+        ...
+
     def predict_exec(
         self, task: "Task", variant: ImplVariant, unit: "ProcessingUnit"
     ) -> float | None:

@@ -124,7 +124,18 @@ class PerfModelStore:
         path = self.path_for(machine)
         if not path.exists():
             return None
-        payload = json.loads(path.read_text())
+        try:
+            payload = json.loads(path.read_text())
+        except ValueError as exc:  # truncated or not JSON at all
+            raise StaleModelError(
+                f"store entry {path} is not valid JSON ({exc}); delete the "
+                "file or recalibrate"
+            ) from exc
+        if not isinstance(payload, dict):
+            raise StaleModelError(
+                f"store entry {path} holds a JSON {type(payload).__name__}, "
+                "not an object; delete the file or recalibrate"
+            )
         if payload.get("format_version") != FORMAT_VERSION:
             raise StaleModelError(
                 f"store entry {path} has format version "
@@ -334,7 +345,9 @@ class PerfModelStore:
         out = []
         for p in sorted(self.root.glob("*.json")):
             try:
-                out.append(json.loads(p.read_text()).get("machine", p.stem))
+                payload = json.loads(p.read_text())
             except (OSError, ValueError):
                 continue
+            if isinstance(payload, dict):
+                out.append(payload.get("machine", p.stem))
         return out

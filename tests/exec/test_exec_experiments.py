@@ -44,10 +44,19 @@ def test_engine_bench_workloads():
     chain = engine_bench.run_chain(n_tasks=300)
     assert fan.tasks_per_s > 0 and chain.tasks_per_s > 0
     assert fan.n_tasks == chain.n_tasks == 300
+    # raises if any timed window fell back to dmda instead of planning
+    look = engine_bench.run_lookahead(n_tasks=300)
+    assert look.tasks_per_s > 0 and look.n_tasks == 300
 
 
 def test_engine_bench_main_writes_json(tmp_path, capsys):
     rc = engine_bench.main(["--smoke", "--outdir", str(tmp_path)])
     payload = json.loads((tmp_path / "BENCH_engine.json").read_text())
-    assert {w["workload"] for w in payload["workloads"]} == {"fanout", "chain"}
+    assert {w["workload"] for w in payload["workloads"]} == {
+        "fanout",
+        "chain",
+        "lookahead",
+    }
+    for w in payload["workloads"]:
+        assert w["floor_tasks_per_s"] == engine_bench.FLOORS[w["workload"]]
     assert payload["within_budget"] == (rc == 0)

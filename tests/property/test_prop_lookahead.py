@@ -19,9 +19,12 @@ model-building are dmda's job, planning only starts once the model can
 price every candidate.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.composer.lookahead import LookaheadScheduler
 from repro.hw.presets import platform_c2050
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
@@ -124,13 +127,17 @@ def _build_segment(rt, codelets, kind, base, width, handles, tasks):
         )
 
 
-@given(segments=_SEGMENTS, primes=_PRIMES, window=_WINDOW)
-@settings(max_examples=25, deadline=None)
-def test_random_dag_windows_plan_legally(segments, primes, window):
+def _run_dag(segments, primes, window, fusion=True):
+    """Calibrate, prime residency, then submit and drain the random DAG
+    under lookahead; returns the runtime and the DAG's tasks."""
     rt = Runtime(
         platform_c2050(),
         scheduler="lookahead",
-        scheduler_options={"window_size": window, "beam_width": 4},
+        scheduler_options={
+            "window_size": window,
+            "beam_width": 4,
+            "fusion": fusion,
+        },
         seed=3,
         noise_sigma=0.0,
         check=True,
@@ -165,6 +172,13 @@ def test_random_dag_windows_plan_legally(segments, primes, window):
     for kind, base, width in segments:
         _build_segment(rt, codelets, kind, base, width, handles, tasks)
     rt.wait_for_all()
+    return rt, tasks
+
+
+@given(segments=_SEGMENTS, primes=_PRIMES, window=_WINDOW)
+@settings(max_examples=25, deadline=None)
+def test_random_dag_windows_plan_legally(segments, primes, window):
+    rt, tasks = _run_dag(segments, primes, window)
     sched = rt.scheduler
 
     # the calibrated DAG phase must actually have produced planned
@@ -191,4 +205,92 @@ def test_random_dag_windows_plan_legally(segments, primes, window):
     assert all(rec.variant != "dead_cuda" for rec in rt.trace.tasks)
 
     # shutdown runs the full TraceChecker (check=True)
+    rt.shutdown()
+
+
+def _coherence(tasks):
+    """(valid nodes, their ready times) of every handle the tasks touch."""
+    return {
+        op.handle.handle_id: tuple(
+            (n, op.handle.ready_at(n)) for n in op.handle.valid_nodes()
+        )
+        for t in tasks
+        for op in t.operands
+    }
+
+
+@given(
+    segments=_SEGMENTS,
+    primes=_PRIMES,
+    window=_WINDOW,
+    fusion=st.booleans(),
+)
+@settings(max_examples=20, deadline=None)
+def test_beam_states_replay_from_fresh_state(segments, primes, window, fusion):
+    """Aliasing oracle for the copy-on-write planner states.
+
+    Beam states share every map they did not change with their parent
+    and siblings.  Replaying each final-beam state's choice vector —
+    and the greedy baseline's, which ``plan_window`` commits whenever
+    the beam does not beat it — from a fresh initial state (one
+    lineage, nothing shared with any other timeline) must reproduce its
+    makespan, task ends and fused edges exactly; and planning must
+    leave the live handles' coherence state untouched.
+    """
+    plan_window = LookaheadScheduler.plan_window
+    beam = LookaheadScheduler._beam
+    commit = LookaheadScheduler._commit
+    committed: list = []
+    final: list = []
+    replayed: list = []
+
+    def spy_commit(state, i, step, view):
+        committed.append(state)
+        commit(state, i, step, view)
+
+    def capture_beam(self, initial, steps, view):
+        # every commit so far belongs to the greedy pass: its last one
+        # is the final greedy state
+        greedy = committed[-1]
+        states = beam(self, initial, steps, view)
+        final.append((steps, greedy, states))
+        return states
+
+    def replay(self, tasks, view, steps, state):
+        fresh = self._initial_state(tasks, view)
+        for i, j in enumerate(state.choice):
+            fresh = self._expand(fresh, i, steps[i], view)[j]
+            commit(fresh, i, steps[i], view)
+        assert (fresh.makespan, fresh.ends, fresh.fused) == (
+            state.makespan,
+            state.ends,
+            state.fused,
+        )
+        replayed.append(state)
+
+    def checked_plan_window(self, tasks, view):
+        before = _coherence(tasks)
+        committed.clear()
+        final.clear()
+        plan_window(self, tasks, view)
+        assert _coherence(tasks) == before, "planning mutated live handles"
+        for steps, greedy, states in final:
+            plan = self.plans[-1]
+            assert plan.greedy_makespan == greedy.makespan
+            assert plan.planned_makespan in {
+                s.makespan for s in (greedy, *states)
+            }
+            replay(self, tasks, view, steps, greedy)
+            for state in states:
+                replay(self, tasks, view, steps, state)
+
+    with mock.patch.object(
+        LookaheadScheduler, "plan_window", checked_plan_window
+    ), mock.patch.object(
+        LookaheadScheduler, "_beam", capture_beam
+    ), mock.patch.object(
+        LookaheadScheduler, "_commit", staticmethod(spy_commit)
+    ):
+        rt, _ = _run_dag(segments, primes, window, fusion=fusion)
+    assert replayed, "no planned window reached the oracle"
     rt.shutdown()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import Session
 from repro.errors import StaleModelError
 from repro.hw.presets import cpu_only, platform_c2050
 from repro.runtime.perfmodel import PerfModel
@@ -70,6 +71,30 @@ def test_changed_format_version_raises_stale(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(StaleModelError):
         store.load(machine)
+
+
+@pytest.mark.parametrize(
+    "corrupt, why",
+    [
+        (lambda text: text[: len(text) // 2], "not valid JSON"),
+        (lambda text: "[1, 2, 3]", "JSON list"),
+    ],
+    ids=["truncated", "list-valued"],
+)
+def test_malformed_store_file_raises_stale_naming_path(tmp_path, corrupt, why):
+    store = PerfModelStore(tmp_path)
+    machine = platform_c2050()
+    path = store.save(machine, _model())
+    path.write_text(corrupt(path.read_text()))
+    with pytest.raises(StaleModelError, match=why) as err:
+        store.load(machine)
+    assert str(path) in str(err.value)
+    assert "delete the file or recalibrate" in str(err.value)
+    with pytest.raises(StaleModelError, match=why):
+        Session("c2050", store=tmp_path, run_kernels=False)
+    # recovery: saving fresh measurements replaces the broken entry
+    store.save(machine, _model())
+    assert store.load(machine).codelets() == {"axpy"}
 
 
 def test_save_replaces_stale_entry_outright(tmp_path):
@@ -139,6 +164,10 @@ def test_invalidate_and_machines(tmp_path):
     assert sorted(store.machines()) == sorted([gpu.name, cpu.name])
     assert store.invalidate(gpu)
     assert not store.invalidate(gpu)  # already gone
+    assert store.machines() == [cpu.name]
+    # unreadable or non-object entries are skipped, not raised
+    (tmp_path / "broken.json").write_text('{"machine": ')
+    (tmp_path / "listed.json").write_text('["not", "an", "entry"]')
     assert store.machines() == [cpu.name]
 
 
