@@ -40,7 +40,6 @@ from repro.composer import ComposedApplication, Composer, Recipe
 from repro.containers import Matrix, Scalar, Vector
 from repro.hw import (
     MachineDescription,
-    by_name,
     machine,
     platform_c1060,
     platform_c2050,
@@ -71,7 +70,6 @@ __all__ = [
     "Session",
     "Vector",
     "__version__",
-    "by_name",
     "check",
     "machine",
     "platform_c1060",

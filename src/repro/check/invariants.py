@@ -3,7 +3,7 @@ the machine description and assert it is physically and causally legal.
 
 The checker consumes only recorded artifacts — an
 :class:`~repro.runtime.stats.ExecutionTrace` plus either a live
-:class:`~repro.hw.description.Machine` or the
+:class:`~repro.hw.description.MachineDescription` or the
 :class:`~repro.runtime.trace_export.MachineInfo` summary embedded in
 saved trace files — so it can validate a run after the fact, in another
 process, or from ``python -m repro.check trace.json``.
@@ -46,7 +46,7 @@ import math
 from typing import Iterable
 
 from repro.errors import InvariantViolation
-from repro.hw.description import HOST_NODE, Machine
+from repro.hw.description import HOST_NODE, MachineDescription
 from repro.runtime.stats import (
     ACCESS_KINDS,
     AccessRecord,
@@ -75,7 +75,7 @@ class TraceChecker:
     """
 
     def __init__(
-        self, trace: ExecutionTrace, machine: "Machine | MachineInfo"
+        self, trace: ExecutionTrace, machine: "MachineDescription | MachineInfo"
     ) -> None:
         self.trace = trace
         self.info = MachineInfo.of(machine)
@@ -818,14 +818,14 @@ class TraceChecker:
 
 
 def check_trace(
-    trace: ExecutionTrace, machine: "Machine | MachineInfo"
+    trace: ExecutionTrace, machine: "MachineDescription | MachineInfo"
 ) -> list[InvariantViolation]:
     """All invariant violations of a finished trace (empty when legal)."""
     return TraceChecker(trace, machine).run()
 
 
 def assert_trace_legal(
-    trace: ExecutionTrace, machine: "Machine | MachineInfo"
+    trace: ExecutionTrace, machine: "MachineDescription | MachineInfo"
 ) -> None:
     """Raise the first :class:`InvariantViolation` found, if any."""
     violations = check_trace(trace, machine)

@@ -62,7 +62,7 @@ class DecisionLog:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "DecisionLog":
-        if doc.get("format") != LOG_FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != LOG_FORMAT:
             raise ReplayDivergence(
                 "replay.log-format",
                 "not a decision-log document (missing format marker)",
@@ -90,7 +90,14 @@ class DecisionLog:
 
     @classmethod
     def load(cls, path: str | Path) -> "DecisionLog":
-        return cls.from_jsonable(json.loads(Path(path).read_text()))
+        try:
+            doc = json.loads(Path(path).read_text())
+        except ValueError as exc:  # truncated or not JSON at all
+            raise ReplayDivergence(
+                "replay.log-format",
+                f"decision log {path} is not valid JSON ({exc})",
+            ) from exc
+        return cls.from_jsonable(doc)
 
 
 class RecordingScheduler(Scheduler):

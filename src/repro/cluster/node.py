@@ -30,7 +30,7 @@ from repro.serve.client import WORKLOADS, Request, TenantSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.faults import FaultModel
-    from repro.hw.description import Machine
+    from repro.hw.description import MachineDescription
     from repro.runtime.engine import RecoveryPolicy
     from repro.runtime.task import Task
     from repro.tuning.store import PerfModelStore
@@ -59,7 +59,7 @@ class ClusterNode:
     def __init__(
         self,
         node_id: int,
-        machine: "Machine",
+        machine: "MachineDescription",
         *,
         scheduler: str = "dmda",
         seed: int = 0,

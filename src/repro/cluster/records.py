@@ -169,7 +169,7 @@ class ClusterRequestRecord:
         """Project onto the serving layer's :class:`RequestRecord`, so the
         per-tenant SLO machinery (:func:`repro.serve.slo.tenant_slo`)
         aggregates cluster records unchanged."""
-        return RequestRecord.make(
+        return RequestRecord(
             tenant=self.tenant,
             req_id=self.req_id,
             codelet=self.codelet,

@@ -316,7 +316,7 @@ class Cluster:
     @staticmethod
     def _make_machine(machine, node_id: int):
         if isinstance(machine, str):
-            return presets.by_name(machine)
+            return presets.machine(machine)
         if callable(machine):
             return machine()
         import copy

@@ -34,7 +34,7 @@ from repro.composer.narrowing import apply_narrowing
 from repro.composer.recipe import Recipe
 from repro.composer.static_comp import apply_static_composition
 from repro.errors import CompositionError
-from repro.hw.presets import by_name
+from repro.hw import presets
 
 
 class Composer:
@@ -59,7 +59,9 @@ class Composer:
         """Phase 2: composition processing on the IR."""
         apply_narrowing(tree)
         if self.recipe.static_dispatch:
-            machine = by_name(self.recipe.platform or tree.main.target_platform)
+            machine = presets.machine(
+                self.recipe.platform or tree.main.target_platform
+            )
             apply_static_composition(tree, machine)
         tree.check()
         return tree

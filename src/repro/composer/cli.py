@@ -22,7 +22,7 @@ from repro.composer.builder import Composer
 from repro.composer.recipe import Recipe
 from repro.composer.utility import generate_component_files
 from repro.errors import PeppherError
-from repro.hw.presets import by_name, PRESETS
+from repro.hw.presets import PRESETS, machine
 from repro.hw.zoo import ZOO_PRESETS
 
 
@@ -121,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.describe_machine:
-            print(by_name(args.describe_machine).summary())
+            print(machine(args.describe_machine).summary())
             return 0
 
         if args.list_repo:

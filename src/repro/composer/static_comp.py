@@ -22,7 +22,7 @@ from repro.components.prediction import PredictionFunction
 from repro.composer.ir import ComponentNode, ComponentTree
 from repro.errors import CompositionError
 from repro.hw.devices import DeviceSpec
-from repro.hw.description import Machine
+from repro.hw.description import MachineDescription
 from repro.hw.noise import NoiseModel
 from repro.runtime.archs import Arch
 
@@ -112,7 +112,7 @@ def _scenario_distance(scenario: ContextInstance, ctx: Mapping[str, object]) -> 
 # table construction
 # ---------------------------------------------------------------------------
 
-def _device_for_arch(machine: Machine, arch: Arch) -> DeviceSpec | None:
+def _device_for_arch(machine: MachineDescription, arch: Arch) -> DeviceSpec | None:
     """The device a variant of ``arch`` would execute on."""
     if arch in (Arch.CPU, Arch.OPENMP):
         units = machine.cpu_units
@@ -139,7 +139,7 @@ def _prediction_for(impl, fallback_cost_ref: bool = True) -> PredictionFunction 
 
 def build_dispatch_table(
     node: ComponentNode,
-    machine: Machine,
+    machine: MachineDescription,
     points_per_param: int = 4,
     training_repetitions: int = 1,
     noise: NoiseModel | None = None,
@@ -212,7 +212,7 @@ def build_dispatch_table(
 
 
 def apply_static_composition(
-    tree: ComponentTree, machine: Machine, store=None
+    tree: ComponentTree, machine: MachineDescription, store=None
 ) -> ComponentTree:
     """Run static composition over the IR (multi-stage narrowing).
 

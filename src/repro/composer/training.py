@@ -23,7 +23,7 @@ from repro.components.interface import InterfaceDescriptor
 from repro.composer.glue import lower_component
 from repro.composer.static_comp import DispatchEntry, DispatchTable
 from repro.errors import CompositionError, SchedulingError
-from repro.hw.description import Machine
+from repro.hw.description import MachineDescription
 from repro.runtime.perfmodel import PerfModel
 from repro.runtime.runtime import Runtime
 
@@ -75,7 +75,7 @@ class TrainingReport:
 def train_dispatch_table(
     interface: InterfaceDescriptor,
     implementations: Sequence[ImplementationDescriptor],
-    machine_factory: Callable[[], Machine],
+    machine_factory: Callable[[], MachineDescription],
     make_operands: OperandFactory,
     scenarios: Sequence[ContextInstance] | None = None,
     points_per_param: int = 3,
@@ -100,7 +100,7 @@ def train_dispatch_table(
         raise CompositionError("training needs at least one repetition")
     codelet_all = lower_component(interface, implementations)
     shared_model: PerfModel | None = None
-    store_machine: Machine | None = None
+    store_machine: MachineDescription | None = None
     if store is not None:
         store_machine = machine_factory()
         shared_model = store.warm_model(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.bfs import bfs_cpu, bfs_cuda, bfs_openmp, cost_cpu, cost_cuda, cost_openmp
-from repro.hw.presets import by_name
+from repro.hw import presets
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
 
@@ -83,7 +83,7 @@ def main(platform: str = "c2050", n_nodes: int = 20_000, seed: int = 0) -> np.nd
     """Complete hand-written application main program."""
     from repro.workloads.graphs import random_graph
 
-    machine = by_name(platform)
+    machine = presets.machine(platform)
     runtime = Runtime(machine, scheduler="dmda", seed=seed)
     codelet = build_codelet()
     nodes, edges = random_graph(n_nodes, 8, seed=seed)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.cfd import cfd_cpu, cfd_cuda, cfd_openmp, cost_cpu, cost_cuda, cost_openmp, make_grid
-from repro.hw.presets import by_name
+from repro.hw import presets
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
 
@@ -77,7 +77,7 @@ def cfd_call(
 
 def main(platform: str = "c2050", ncells: int = 20_000, seed: int = 0) -> np.ndarray:
     """Complete hand-written application main program."""
-    machine = by_name(platform)
+    machine = presets.machine(platform)
     runtime = Runtime(machine, scheduler="dmda", seed=seed)
     codelet = build_codelet()
     variables, neighbors = make_grid(ncells, seed=seed)

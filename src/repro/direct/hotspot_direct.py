@@ -12,7 +12,7 @@ from repro.apps.hotspot import (
     hotspot_cuda,
     hotspot_openmp,
 )
-from repro.hw.presets import by_name
+from repro.hw import presets
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
 
@@ -92,7 +92,7 @@ def main(platform: str = "c2050", size: int = 256, seed: int = 0) -> np.ndarray:
     """Complete hand-written application main program."""
     from repro.workloads.grids import hotspot_inputs
 
-    machine = by_name(platform)
+    machine = presets.machine(platform)
     runtime = Runtime(machine, scheduler="dmda", seed=seed)
     codelet = build_codelet()
     power, temp = hotspot_inputs(size, size, seed=seed)

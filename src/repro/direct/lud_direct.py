@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.lud import cost_cpu, cost_cuda, cost_openmp, lud_cpu, lud_cuda, lud_openmp
-from repro.hw.presets import by_name
+from repro.hw import presets
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
 
@@ -71,7 +71,7 @@ def main(platform: str = "c2050", n: int = 512, seed: int = 0) -> np.ndarray:
     """Complete hand-written application main program."""
     from repro.apps.lud import make_spd_matrix
 
-    machine = by_name(platform)
+    machine = presets.machine(platform)
     runtime = Runtime(machine, scheduler="dmda", seed=seed)
     codelet = build_codelet()
     A = make_spd_matrix(n, seed=seed)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.nw import cost_cpu, cost_cuda, cost_openmp, nw_cpu, nw_cuda, nw_openmp
-from repro.hw.presets import by_name
+from repro.hw import presets
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
 
@@ -77,7 +77,7 @@ def main(platform: str = "c2050", n: int = 1024, seed: int = 0) -> np.ndarray:
     """Complete hand-written application main program."""
     from repro.apps.nw import make_sequences
 
-    machine = by_name(platform)
+    machine = presets.machine(platform)
     runtime = Runtime(machine, scheduler="dmda", seed=seed)
     codelet = build_codelet()
     seq1, seq2 = make_sequences(n, seed=seed)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps import odesolver as ode
-from repro.hw.presets import by_name
+from repro.hw import presets
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
 _ARCH_OF = {"cpu": Arch.CPU, "openmp": Arch.OPENMP, "cuda": Arch.CUDA}
@@ -199,7 +199,7 @@ def main(
 
     Returns (final state, virtual execution time, invocation count).
     """
-    machine = by_name(platform)
+    machine = presets.machine(platform)
     runtime = Runtime(machine, scheduler=scheduler, seed=seed)
     codelets = build_codelets(variants)
     y, calls = integrate(runtime, codelets, n, steps)

@@ -12,7 +12,7 @@ from repro.apps.particlefilter import (
     particlefilter_cuda,
     particlefilter_openmp,
 )
-from repro.hw.presets import by_name
+from repro.hw import presets
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
 
@@ -95,7 +95,7 @@ def main(
     """Complete hand-written application main program."""
     from repro.apps.particlefilter import make_video
 
-    machine = by_name(platform)
+    machine = presets.machine(platform)
     runtime = Runtime(machine, scheduler="dmda", seed=seed)
     codelet = build_codelet()
     frames, _ = make_video(8, 64, seed=seed)

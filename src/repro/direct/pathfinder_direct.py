@@ -12,7 +12,7 @@ from repro.apps.pathfinder import (
     pathfinder_cuda,
     pathfinder_openmp,
 )
-from repro.hw.presets import by_name
+from repro.hw import presets
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
 
@@ -94,7 +94,7 @@ def main(platform: str = "c2050", cols: int = 100_000, seed: int = 0) -> np.ndar
     """Complete hand-written application main program."""
     from repro.workloads.grids import pathfinder_wall
 
-    machine = by_name(platform)
+    machine = presets.machine(platform)
     runtime = Runtime(machine, scheduler="dmda", seed=seed)
     codelet = build_codelet()
     wall = pathfinder_wall(50, cols, seed=seed)

@@ -12,7 +12,7 @@ from repro.apps.sgemm import (
     sgemm_cublas,
     sgemm_openmp,
 )
-from repro.hw.presets import by_name
+from repro.hw import presets
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
 
@@ -97,7 +97,7 @@ def main(platform: str = "c2050", size: int = 512, seed: int = 0) -> np.ndarray:
     """Complete hand-written application main program."""
     from repro.workloads.dense import gemm_inputs
 
-    machine = by_name(platform)
+    machine = presets.machine(platform)
     runtime = Runtime(machine, scheduler="dmda", seed=seed)
     codelet = build_codelet()
     A, B, C = gemm_inputs(size, size, size, seed=seed)

@@ -20,7 +20,7 @@ from repro.apps.spmv import (
     spmv_cuda,
     spmv_openmp,
 )
-from repro.hw.presets import by_name
+from repro.hw import presets
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
 
@@ -127,7 +127,7 @@ def main(platform: str = "c2050", nrows: int = 4096, seed: int = 0) -> np.ndarra
     """Complete hand-written application main program."""
     from repro.workloads.sparse import random_csr
 
-    machine = by_name(platform)
+    machine = presets.machine(platform)
     runtime = Runtime(machine, scheduler="dmda", seed=seed)
     codelet = build_codelet()
     matrix = random_csr(nrows, nrows, 8, seed=seed)

@@ -26,7 +26,7 @@ import numpy as np
 from repro.apps import bfs, cfd, hotspot, lud, nw, particlefilter, pathfinder, sgemm
 from repro.apps import odesolver as ode
 from repro.composer.glue import lower_component, make_backend_adapter
-from repro.hw.description import Machine
+from repro.hw.description import MachineDescription
 from repro.hw.presets import platform_c1060, platform_c2050
 from repro.runtime import Runtime
 from repro.runtime.codelet import Codelet
@@ -341,7 +341,7 @@ CALIBRATION_REPS = 6
 
 def measure_app(
     scenario: AppScenario,
-    machine_factory: Callable[[], Machine],
+    machine_factory: Callable[[], MachineDescription],
     mode: str,
     seed: int = 0,
 ) -> list[float]:

@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.hw.description import Machine
+from repro.hw.description import MachineDescription
 from repro.hw.presets import platform_c2050
 from repro.runtime.perfmodel import PerfModel
 from repro.serve import (
@@ -97,7 +97,7 @@ def tenant_mix(
 
 
 def calibrate_perfmodel(
-    machine: Machine, tenants: list[TenantSpec], seed: int = 99
+    machine: MachineDescription, tenants: list[TenantSpec], seed: int = 99
 ) -> PerfModel:
     """Warm a perfmodel on every tenant shape via a closed-loop run.
 
@@ -124,7 +124,7 @@ def calibrate_perfmodel(
 
 
 def _serve(
-    machine: Machine,
+    machine: MachineDescription,
     tenants: list[TenantSpec],
     scheduler: str,
     admission: AdmissionPolicy | None,
@@ -181,7 +181,7 @@ class ServingStudyResult:
 
 
 def run_serving_study(
-    machine: Machine | None = None,
+    machine: MachineDescription | None = None,
     rates: tuple[float, ...] = (2000.0, 8000.0, 20000.0),
     tenant_counts: tuple[int, ...] = (2, 4),
     schedulers: tuple[str, ...] = SCHEDULERS,
@@ -275,7 +275,7 @@ class AdmissionAblationResult:
 
 
 def admission_ablation(
-    machine: Machine | None = None,
+    machine: MachineDescription | None = None,
     rate_hz: float = 20000.0,
     n_requests: int = 400,
     seed: int = 5,
@@ -389,7 +389,7 @@ def fairness_tenants(n_requests: int = 400, seed: int = 7) -> list[TenantSpec]:
 
 
 def fairness_ablation(
-    machine: Machine | None = None,
+    machine: MachineDescription | None = None,
     n_requests: int = 400,
     seed: int = 7,
     schedulers: tuple[str, ...] = ("eager", "fair"),

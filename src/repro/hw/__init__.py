@@ -24,13 +24,11 @@ from repro.hw.devices import (
 from repro.hw.interconnect import LinkSpec, pcie2_x16, pcie3_x16
 from repro.hw.description import (
     HOST_NODE,
-    Machine,
     MachineDescription,
     ProcessingUnit,
     make_machine,
 )
 from repro.hw.model import (
-    CoarseDeviceModel,
     DetailedDeviceModel,
     DeviceModel,
     KernelProfile,
@@ -38,9 +36,8 @@ from repro.hw.model import (
     MemoryHierarchy,
     SMConfig,
 )
-from repro.hw.noise import NoiseModel, NullNoise
+from repro.hw.noise import NoiseModel
 from repro.hw.presets import (
-    by_name,
     cpu_only,
     machine,
     platform_c1060,
@@ -58,7 +55,6 @@ from repro.hw.zoo import (
 
 __all__ = [
     "AccessPattern",
-    "CoarseDeviceModel",
     "DetailedDeviceModel",
     "DeviceKind",
     "DeviceModel",
@@ -68,17 +64,14 @@ __all__ = [
     "KernelProfile",
     "LatencyTable",
     "LinkSpec",
-    "Machine",
     "MachineDescription",
     "MemoryHierarchy",
     "NoiseModel",
-    "NullNoise",
     "ProcessingUnit",
     "SMConfig",
     "VirtualClock",
     "ZOO_DEVICES",
     "ZOO_PRESETS",
-    "by_name",
     "cpu_only",
     "fermi_c2050",
     "kepler_k40",

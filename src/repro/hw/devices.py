@@ -86,10 +86,8 @@ class DeviceSpec:
     model:
         Optional :class:`~repro.hw.model.DeviceModel` governing this
         device's kernel-cost arithmetic.  ``None`` (the default, and
-        every pre-existing preset) means the coarse analytical tier,
-        computed inline exactly as it always was — attaching an
-        explicit :class:`~repro.hw.model.CoarseDeviceModel` is
-        numerically identical.  A
+        every paper preset) means the coarse analytical tier, computed
+        inline by :meth:`roofline_time`.  A
         :class:`~repro.hw.model.DetailedDeviceModel` switches this
         device to the PPT-GPU-grade tier (SM occupancy, L1/L2 hit-rate
         knobs, instruction-class latencies); see ``docs/DEVICES.md``.
@@ -159,8 +157,7 @@ class DeviceSpec:
         """Modeled execution-time estimate in seconds.
 
         Dispatches to the attached :class:`~repro.hw.model.DeviceModel`
-        when one exists; otherwise (and numerically identically under an
-        explicit coarse model) the legacy roofline: ``max`` of the
+        when one exists; otherwise the coarse roofline: ``max`` of the
         compute-bound and memory-bound times, plus the fixed launch
         overhead.  Either ``flops`` or ``bytes_moved`` may be zero.
         ``profile`` optionally names the kernel's launch shape and

@@ -11,17 +11,15 @@ latencies bound issue throughput.
 
 This module makes the fidelity an explicit, swappable layer:
 
-:class:`DeviceModel`
-    The abstraction every kernel-time estimate goes through.  A
-    :class:`~repro.hw.devices.DeviceSpec` optionally carries one; specs
-    without a model (the default, and every pre-existing preset) price
-    kernels through the legacy coarse arithmetic, byte for byte.
+coarse tier (``DeviceSpec.model is None``)
+    The default for every preset: launch overhead plus the roofline max
+    of compute and memory time under pattern efficiencies, computed
+    inline by :meth:`~repro.hw.devices.DeviceSpec.roofline_time`.
 
-:class:`CoarseDeviceModel`
-    The explicit spelling of that legacy tier: launch overhead plus the
-    roofline max of compute and memory time under pattern efficiencies.
-    Attaching it changes nothing numerically — it exists so the tier is
-    a first-class, fingerprintable object rather than an absence.
+:class:`DeviceModel`
+    The abstraction an attached model implements.  A
+    :class:`~repro.hw.devices.DeviceSpec` optionally carries one, which
+    then prices every kernel on that device.
 
 :class:`DetailedDeviceModel`
     The PPT-GPU-grade tier.  Kernel time is assembled from
@@ -360,41 +358,6 @@ class DeviceModel(ABC):
     def describe(self) -> dict:
         """Structured view used by ``MachineDescription.describe()``."""
         return {"fidelity": self.fidelity, **self.knobs()}
-
-
-class CoarseDeviceModel(DeviceModel):
-    """The legacy roofline fit as an explicit, fingerprintable tier.
-
-    Numerically identical to a spec with no model attached: same
-    operations in the same order, so same-seed traces stay
-    byte-identical whichever spelling a machine uses.
-    """
-
-    fidelity = "coarse"
-
-    def kernel_time(
-        self,
-        spec: "DeviceSpec",
-        flops: float,
-        bytes_moved: float,
-        pattern: AccessPattern = AccessPattern.REGULAR,
-        profile: KernelProfile | None = None,
-    ) -> float:
-        # mirror the legacy branch of DeviceSpec.roofline_time exactly
-        # (see devices.py); `profile` is accepted and ignored — the
-        # coarse tier has no use for launch shapes
-        t_compute = flops / (spec.effective_gflops(pattern) * 1e9)
-        t_memory = bytes_moved / (spec.effective_bandwidth_gbs(pattern) * 1e9)
-        return spec.launch_overhead_s + max(t_compute, t_memory)
-
-    def knobs(self) -> dict:
-        return {}
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is CoarseDeviceModel
-
-    def __hash__(self) -> int:
-        return hash(CoarseDeviceModel)
 
 
 @dataclass(frozen=True)

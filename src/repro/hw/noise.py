@@ -34,10 +34,9 @@ class NoiseModel:
         """Return ``duration`` scaled by one lognormal sample.
 
         The mean of the lognormal is corrected to 1.0 so that the noise is
-        unbiased (``E[perturb(d)] == d``).  This is the single validation
-        path for all noise models: negative durations are rejected here,
-        and ``sigma == 0`` (including :class:`NullNoise`) short-circuits
-        to the identity without consuming randomness.
+        unbiased (``E[perturb(d)] == d``).  Negative durations are
+        rejected, and ``sigma == 0`` short-circuits to the identity
+        without consuming randomness.
         """
         if duration < 0:
             raise ValueError(f"duration must be non-negative, got {duration}")
@@ -46,14 +45,3 @@ class NoiseModel:
         factor = self._rng.lognormal(mean=-0.5 * self.sigma**2, sigma=self.sigma)
         return duration * factor
 
-
-class NullNoise(NoiseModel):
-    """No-op noise model for fully analytic experiments.
-
-    A plain ``sigma=0`` alias of :class:`NoiseModel`: ``isinstance``
-    checks and subclass overrides see one consistent class hierarchy and
-    one ``perturb`` implementation.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        super().__init__(sigma=0.0, seed=seed)

@@ -15,13 +15,13 @@ the catalogue across GPU generations and both model-fidelity tiers.
 
 from __future__ import annotations
 
-from repro.hw.description import Machine, make_machine
+from repro.hw.description import MachineDescription, make_machine
 from repro.hw.devices import tesla_c1060, tesla_c2050, xeon_e5520_core
 from repro.hw.interconnect import pcie2_x16
 from repro.hw.zoo import ZOO_PRESETS
 
 
-def platform_c2050(n_cpu_cores: int = 4) -> Machine:
+def platform_c2050(n_cpu_cores: int = 4) -> MachineDescription:
     """Xeon E5520 (``n_cpu_cores`` cores) + one Tesla C2050.
 
     The C2050 is Fermi-class: two DMA engines, so host<->device copies in
@@ -36,7 +36,7 @@ def platform_c2050(n_cpu_cores: int = 4) -> Machine:
     )
 
 
-def platform_c1060(n_cpu_cores: int = 4) -> Machine:
+def platform_c1060(n_cpu_cores: int = 4) -> MachineDescription:
     """Xeon E5520 (``n_cpu_cores`` cores) + one Tesla C1060 (single DMA)."""
     return make_machine(
         name="xeon-e5520+c1060",
@@ -47,7 +47,7 @@ def platform_c1060(n_cpu_cores: int = 4) -> Machine:
     )
 
 
-def platform_dual_c2050(n_cpu_cores: int = 6) -> Machine:
+def platform_dual_c2050(n_cpu_cores: int = 6) -> MachineDescription:
     """Two Tesla C2050s (multi-GPU systems are first-class in the
     PEPPHER component model; each GPU reserves one driver core)."""
     return make_machine(
@@ -59,7 +59,7 @@ def platform_dual_c2050(n_cpu_cores: int = 6) -> Machine:
     )
 
 
-def cpu_only(n_cpu_cores: int = 4) -> Machine:
+def cpu_only(n_cpu_cores: int = 4) -> MachineDescription:
     """A homogeneous multicore machine (no accelerator)."""
     return make_machine(
         name=f"xeon-e5520-{n_cpu_cores}c",
@@ -79,7 +79,7 @@ PRESETS = {
 }
 
 
-def machine(name: str, *, fidelity: str = "coarse", **kwargs) -> Machine:
+def machine(name: str, *, fidelity: str = "coarse", **kwargs) -> MachineDescription:
     """Build a preset machine by name — the blessed registry.
 
     Parameters
@@ -121,11 +121,3 @@ def machine(name: str, *, fidelity: str = "coarse", **kwargs) -> Machine:
         f"known: {sorted(PRESETS) + sorted(ZOO_PRESETS)}"
     )
 
-
-def by_name(name: str, **kwargs) -> Machine:
-    """Look up a coarse-tier preset by short name.
-
-    Predates :func:`machine`, which supersedes it; kept as a thin alias
-    so existing call sites and serialized configs stay valid.
-    """
-    return machine(name, **kwargs)

@@ -37,7 +37,7 @@ Access through the blessed registry::
 from __future__ import annotations
 
 from repro.hw.devices import DeviceKind, DeviceSpec, xeon_e5520_core
-from repro.hw.description import Machine, make_machine
+from repro.hw.description import MachineDescription, make_machine
 from repro.hw.interconnect import pcie2_x16, pcie3_x16
 from repro.hw.model import DetailedDeviceModel, LatencyTable, MemoryHierarchy, SMConfig
 
@@ -282,7 +282,9 @@ def volta_v100(fidelity: str = "coarse") -> DeviceSpec:
 # Machine presets: host + one GPU per generation.
 # ---------------------------------------------------------------------------
 
-def machine_fermi(fidelity: str = "coarse", n_cpu_cores: int = 4) -> Machine:
+def machine_fermi(
+    fidelity: str = "coarse", n_cpu_cores: int = 4
+) -> MachineDescription:
     """Xeon E5520 + Tesla C2050 over PCIe 2.0 (the paper's platform)."""
     return make_machine(
         name="zoo-fermi",
@@ -293,7 +295,9 @@ def machine_fermi(fidelity: str = "coarse", n_cpu_cores: int = 4) -> Machine:
     )
 
 
-def machine_kepler(fidelity: str = "coarse", n_cpu_cores: int = 4) -> Machine:
+def machine_kepler(
+    fidelity: str = "coarse", n_cpu_cores: int = 4
+) -> MachineDescription:
     """Xeon E5520 + Tesla K40 over PCIe 3.0."""
     return make_machine(
         name="zoo-kepler",
@@ -304,7 +308,9 @@ def machine_kepler(fidelity: str = "coarse", n_cpu_cores: int = 4) -> Machine:
     )
 
 
-def machine_pascal(fidelity: str = "coarse", n_cpu_cores: int = 4) -> Machine:
+def machine_pascal(
+    fidelity: str = "coarse", n_cpu_cores: int = 4
+) -> MachineDescription:
     """Xeon E5-2690v4 + Tesla P100 over PCIe 3.0."""
     return make_machine(
         name="zoo-pascal",
@@ -315,7 +321,9 @@ def machine_pascal(fidelity: str = "coarse", n_cpu_cores: int = 4) -> Machine:
     )
 
 
-def machine_volta(fidelity: str = "coarse", n_cpu_cores: int = 4) -> Machine:
+def machine_volta(
+    fidelity: str = "coarse", n_cpu_cores: int = 4
+) -> MachineDescription:
     """Xeon E5-2690v4 + Tesla V100 over PCIe 3.0."""
     return make_machine(
         name="zoo-volta",

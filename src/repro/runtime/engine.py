@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -44,12 +44,12 @@ from repro.exec.base import ExecFuture, ExecutionBackend
 from repro.exec.timing import Measurement
 from repro.hw.clock import VirtualClock
 from repro.hw.faults import FaultModel
-from repro.hw.description import HOST_NODE, Machine, ProcessingUnit
+from repro.hw.description import HOST_NODE, MachineDescription, ProcessingUnit
 from repro.hw.noise import NoiseModel
 from repro.runtime.access import AccessMode
 from repro.runtime.codelet import ImplVariant
 from repro.runtime.data import CopyState, DataHandle
-from repro.runtime.events import EngineEvents, warn_hook_api
+from repro.runtime.events import EngineEvents
 from repro.runtime.perfmodel import PerfModel
 from repro.runtime.schedulers.base import Decision, Scheduler
 from repro.runtime.stats import (
@@ -140,7 +140,7 @@ class Engine:
 
     def __init__(
         self,
-        machine: Machine,
+        machine: MachineDescription,
         scheduler: Scheduler,
         perfmodel: PerfModel | None = None,
         noise: NoiseModel | None = None,
@@ -268,7 +268,7 @@ class Engine:
         #: performance model several times per choose() for the same
         #: task, and the footprint cannot change within one choice
         self._fp_cache: tuple[Task, tuple, float] | None = None
-        #: (src, dst, nbytes) -> seconds memo for Machine.transfer_time
+        #: (src, dst, nbytes) -> seconds memo for MachineDescription.transfer_time
         #: (pure function of the link specs; distinct keys are few)
         self._tt_cache: dict[tuple[int, int, int], float] = {}
         # real-concurrency execution (repro.exec); inline backends take
@@ -286,24 +286,6 @@ class Engine:
     # ------------------------------------------------------------------
     # load introspection and events (serving front-end support)
     # ------------------------------------------------------------------
-
-    def add_submit_hook(self, fn: Callable[[Task], None]) -> None:
-        """Deprecated: use ``engine.events.subscribe("submit", fn)``.
-
-        Delegates to the typed event stream (``fn`` receives the task,
-        as before) and warns once per process.
-        """
-        warn_hook_api("Engine.add_submit_hook")
-        self.events.subscribe("submit", lambda event: fn(event.task))
-
-    def add_complete_hook(self, fn: Callable[[Task], None]) -> None:
-        """Deprecated: use ``engine.events.subscribe("complete", fn)``.
-
-        Delegates to the typed event stream (``fn`` receives the task,
-        as before) and warns once per process.
-        """
-        warn_hook_api("Engine.add_complete_hook")
-        self.events.subscribe("complete", lambda event: fn(event.task))
 
     def n_inflight(self, at: float | None = None) -> int:
         """Tasks scheduled but not yet finished at virtual time ``at``.
@@ -414,7 +396,7 @@ class Engine:
         return cost
 
     def transfer_time(self, src: int, dst: int, nbytes: int) -> float:
-        """EngineView: memoized :meth:`Machine.transfer_time` (called per
+        """EngineView: memoized :meth:`MachineDescription.transfer_time` (called per
         candidate node on the scheduling hot path; the answer only
         depends on the static link specs)."""
         key = (src, dst, nbytes)
@@ -750,7 +732,7 @@ class Engine:
         related: tuple[int, ...] = (),
     ) -> None:
         self.trace.record_access(
-            AccessRecord.make(
+            AccessRecord(
                 kind=kind,
                 handle_id=handle.handle_id,
                 handle_name=handle.name,
@@ -998,7 +980,7 @@ class Engine:
             # abort to the task so the recovery loop can place it where
             # the failing link is not needed
             self._fault(
-                FaultRecord.make(
+                FaultRecord(
                     kind="transfer_abort",
                     time=fault.time,
                     task_id=task.task_id,
@@ -1207,7 +1189,7 @@ class Engine:
             self._charge_failed_attempt(decision.workers, fail_time)
             self._mark_device_lost(unit, fail_time)
             self._fault(
-                FaultRecord.make(
+                FaultRecord(
                     kind="device_lost",
                     time=fail_time,
                     task_id=task.task_id,
@@ -1229,7 +1211,7 @@ class Engine:
             self._charge_failed_attempt(decision.workers, fail_time)
             self._note_worker_fault(decision.anchor, fail_time, task)
             self._fault(
-                FaultRecord.make(
+                FaultRecord(
                     kind="kernel",
                     time=fail_time,
                     task_id=task.task_id,
@@ -1291,7 +1273,7 @@ class Engine:
             self.trace.blacklisted_workers.add(unit.unit_id)
             self.candidate_cache.clear()
             self._fault(
-                FaultRecord.make(
+                FaultRecord(
                     kind="blacklisted",
                     time=fail_time,
                     task_id=task.task_id,
@@ -1317,7 +1299,7 @@ class Engine:
             for h in [handle, *handle.children]:
                 if h.recover_from_node_loss(node, t):
                     self._fault(
-                        FaultRecord.make(
+                        FaultRecord(
                             kind="replica_lost",
                             time=t,
                             node=node,
@@ -1339,7 +1321,7 @@ class Engine:
                 unit = self.machine.unit(unit_id)
                 self._mark_device_lost(unit, t_loss)
                 self._fault(
-                    FaultRecord.make(
+                    FaultRecord(
                         kind="device_lost",
                         time=t_loss,
                         worker_ids=(unit_id,),
@@ -1467,7 +1449,7 @@ class Engine:
             # copy must be resent
             self._occupy_link(link_node, direction, end)
             self._fault(
-                FaultRecord.make(
+                FaultRecord(
                     kind="transfer",
                     time=end,
                     node=node,
@@ -1571,7 +1553,7 @@ class Engine:
             victim.invalidate(node)
             self._sync_residency(victim)
             rec = self.trace.record_eviction(
-                EvictionRecord.make(
+                EvictionRecord(
                     handle_id=victim.handle_id,
                     handle_name=victim.name,
                     node=node,

@@ -22,12 +22,8 @@ scheduler never sees the ground-truth cost model, only noisy samples.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.errors import RuntimeSystemError
 
@@ -331,7 +327,7 @@ class PerfModel:
         out |= set(self.measured_regression._samples)
         return out - set(self._variant_codelet)
 
-    # -- persistence (StarPU stores per-machine perfmodel files) -----------
+    # -- serialization (PerfModelStore persists per-machine files) ---------
 
     def to_dict(self) -> dict:
         out = {
@@ -387,34 +383,6 @@ class PerfModel:
             model.measured_regression._samples[var] = [tuple(s) for s in samples]
         model._variant_codelet = dict(raw.get("codelets", {}))
         return model
-
-    def save(self, path: str | Path) -> None:
-        """Atomically persist the model as JSON.
-
-        A plain ``write_text`` interrupted mid-write leaves truncated
-        JSON behind that poisons every later session; writing to a
-        sibling temp file and ``os.replace``-ing guarantees readers see
-        either the old or the new model, never a torn one.
-        """
-        path = Path(path)
-        payload = json.dumps(self.to_dict(), indent=1)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PerfModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
     # -- merging (the model store combines concurrent sessions) ------------
 

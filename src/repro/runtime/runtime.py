@@ -15,18 +15,14 @@ import numpy as np
 
 from repro.errors import PeppherError, RuntimeSystemError
 from repro.hw.faults import FaultModel
-from repro.hw.description import Machine
-from repro.hw.noise import NoiseModel, NullNoise
+from repro.hw.description import MachineDescription
+from repro.hw.noise import NoiseModel
 from repro.runtime.access import AccessMode
 from repro.runtime.codelet import Codelet
 from repro.runtime.data import DataHandle
 from repro.runtime.engine import Engine, RecoveryPolicy
 from repro.runtime.perfmodel import PerfModel
-from repro.runtime.schedulers import (
-    Scheduler,
-    make_scheduler,
-    warn_scheduler_instance,
-)
+from repro.runtime.schedulers import make_scheduler
 from repro.runtime.stats import ExecutionTrace
 from repro.runtime.task import Operand, Task
 
@@ -44,8 +40,10 @@ class Runtime:
         The machine to execute on (see :mod:`repro.hw.presets`).
     scheduler:
         A policy name (``"eager"``, ``"random"``, ``"ws"``, ``"dm"``,
-        ``"dmda"``) or a :class:`Scheduler` instance.  The paper's
-        performance-aware dynamic composition corresponds to ``"dmda"``.
+        ``"dmda"``, ...) resolved via
+        :func:`~repro.runtime.schedulers.make_scheduler` together with
+        ``scheduler_options``.  The paper's performance-aware dynamic
+        composition corresponds to ``"dmda"``.
     seed:
         Seed for timing noise and randomized policies; runs are
         bit-reproducible for a fixed seed.
@@ -56,18 +54,18 @@ class Runtime:
     run_kernels:
         When False, tasks advance time but skip the real computation.
     perfmodel:
-        Optionally start from a pre-trained performance model (e.g.
-        loaded from disk), like StarPU's persistent calibration files.
-    perfmodel_path:
-        Persistent calibration file (StarPU keeps per-machine perfmodel
-        files under ``~/.starpu``): loaded at start-up when it exists,
-        written back at shutdown, so later sessions skip calibration.
+        Optionally start from a pre-trained, in-memory performance
+        model; the runtime keeps updating that same object, so several
+        sessions can share one model.
+    scheduler_options:
+        Keyword arguments for the named scheduling policy.
     store:
         A :class:`~repro.tuning.store.PerfModelStore`: the machine's
         calibrated model is loaded at start-up (stale entries raise
         :class:`~repro.errors.StaleModelError` instead of being reused)
-        and the updated model is merged back at shutdown.  Mutually
-        exclusive with ``perfmodel`` / ``perfmodel_path``.
+        and the updated model is merged back at shutdown, like StarPU's
+        per-machine calibration files.  Mutually exclusive with
+        ``perfmodel``.
     faults:
         Optional :class:`~repro.hw.faults.FaultModel` injecting transient
         kernel failures, transfer corruption and device loss.  ``None``
@@ -104,15 +102,14 @@ class Runtime:
 
     def __init__(
         self,
-        machine: Machine,
-        scheduler: str | Scheduler = "dmda",
+        machine: MachineDescription,
+        scheduler: str = "dmda",
         seed: int = 0,
         noise_sigma: float = 0.03,
         submit_overhead_s: float = 1e-6,
         run_kernels: bool = True,
         perfmodel: PerfModel | None = None,
         scheduler_options: Mapping[str, object] | None = None,
-        perfmodel_path: "str | None" = None,
         store: "PerfModelStore | None" = None,
         faults: FaultModel | None = None,
         recovery: RecoveryPolicy | None = None,
@@ -120,33 +117,14 @@ class Runtime:
         record: bool = False,
         exec_backend: "str | ExecutionBackend | None" = None,
     ) -> None:
-        if store is not None and (
-            perfmodel is not None or perfmodel_path is not None
-        ):
-            raise RuntimeSystemError(
-                "pass either store or perfmodel/perfmodel_path, not both"
-            )
-        if perfmodel_path is not None:
+        if store is not None:
             if perfmodel is not None:
                 raise RuntimeSystemError(
-                    "pass either perfmodel or perfmodel_path, not both"
+                    "pass either store or perfmodel, not both"
                 )
-            from pathlib import Path
-
-            if Path(perfmodel_path).exists():
-                perfmodel = PerfModel.load(perfmodel_path)
-        if store is not None:
             perfmodel = store.warm_model(machine)
-        self._perfmodel_path = perfmodel_path
         self._store = store
-        if isinstance(scheduler, str):
-            scheduler = make_scheduler(scheduler, **dict(scheduler_options or {}))
-        else:
-            warn_scheduler_instance("Runtime")
-            if scheduler_options:
-                raise RuntimeSystemError(
-                    "scheduler_options only apply when scheduler is given by name"
-                )
+        scheduler = make_scheduler(scheduler, **dict(scheduler_options or {}))
         self._check = check
         self._checked = False
         self._recorder = None
@@ -157,9 +135,7 @@ class Runtime:
             exec_backend = make_backend(exec_backend)
             self._own_backend = True
         self.exec_backend = exec_backend
-        noise: NoiseModel = (
-            NullNoise() if noise_sigma == 0 else NoiseModel(sigma=noise_sigma, seed=seed)
-        )
+        noise = NoiseModel(sigma=noise_sigma, seed=seed)
         self.machine = machine
         self.scheduler = scheduler
         self.engine = Engine(
@@ -245,8 +221,8 @@ class Runtime:
     def shutdown(self) -> float:
         """Drain and close the session; returns the final virtual time.
 
-        When a persistent calibration file or a model store was
-        configured, the (now updated) performance model is written back.
+        When a model store was configured, the (now updated)
+        performance model is merged back into it.
         With checking enabled (``check=True`` or the process default),
         the finished trace is validated against the run invariants and
         the first violation raises
@@ -255,8 +231,6 @@ class Runtime:
         t = self.engine.shutdown()
         if self._own_backend and self.exec_backend is not None:
             self.exec_backend.close()
-        if self._perfmodel_path is not None:
-            self.engine.perf.save(self._perfmodel_path)
         if self._store is not None:
             self._store.save(self.machine, self.engine.perf)
         if not self._checked and self._resolve_check():

@@ -18,7 +18,7 @@ from repro.runtime.archs import Arch
 from repro.runtime.codelet import ImplVariant
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.hw.description import Machine, ProcessingUnit
+    from repro.hw.description import MachineDescription, ProcessingUnit
     from repro.runtime.task import Task
 
 
@@ -39,7 +39,7 @@ class EngineView(Protocol):
     """What the engine exposes to scheduling policies (read-only)."""
 
     @property
-    def machine(self) -> "Machine": ...
+    def machine(self) -> "MachineDescription": ...
 
     def worker_available_at(self, unit_id: int) -> float:
         """Virtual time the worker finishes its currently assigned work."""

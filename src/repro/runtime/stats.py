@@ -5,119 +5,40 @@ makespan (Figures 5-7), per-worker utilisation (hybrid execution), data
 transfer counts and volumes (Figure 3's copy elision, Figure 5's
 communication bottleneck), and per-task timelines for debugging.
 
-Storage layout (the million-task refactor)
-------------------------------------------
+Storage layout
+--------------
 
-Records used to be frozen dataclasses held in plain lists; at million-
-task scale the per-record object overhead (and the ``dataclasses.replace``
-sequence stamping) dominated the engine hot path.  The trace now stores
-records *columnar* (struct-of-arrays): one ``array('d')`` per float
-field, one list per object field, and materializes record objects only
-when somebody actually asks for one.  The engine appends raw field rows
-(:meth:`ExecutionTrace.add_task`, :meth:`ExecutionTrace.add_transfer`)
-and never builds a record object on the no-subscriber fast path.
+At million-task scale a per-record object would dominate the engine hot
+path, so the trace stores records *columnar* (struct-of-arrays): one
+``array('d')`` per float field, one list per object field, and
+materializes record objects only when somebody actually asks for one.
+The engine appends raw field rows (:meth:`ExecutionTrace.add_task`,
+:meth:`ExecutionTrace.add_transfer`) and never builds a record object
+on the no-subscriber fast path.
 
 The blessed access API (stable across future layout changes):
 
 - ``trace.tasks()`` / ``trace.transfers()`` / ``trace.faults()`` (and
   ``evictions()`` / ``accesses()`` / ``requests()``) — iterate lazily
-  materialized records; the same attributes still behave like the lists
-  they used to be (``len``, indexing, slicing, ``append``).
+  materialized records; the same attributes also behave like lists
+  (``len``, indexing, slicing, ``append``).
 - ``trace.columns("end_time")`` — the raw column for one field, the
   cheapest way to fold an aggregate over a large trace.
-- ``TaskRecord.make(...)`` — forge a record outside the engine (tests,
+- ``TaskRecord(...)`` — forge a record outside the engine (tests,
   trace loaders); plus ``rec.replace(...)`` / ``rec.as_dict()`` /
-  ``cls._fields`` standing in for the old dataclass conveniences.
-
-Direct construction (``TaskRecord(...)``) still works but emits a
-one-shot :class:`DeprecationWarning` (escalated to an error in this
-repo's test suite): record layout is an engine internal now.
+  ``cls._fields`` for copies and field access.
 """
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from collections.abc import Sequence
 
 from repro.hw.description import HOST_NODE
 
 # ---------------------------------------------------------------------------
-# deprecation shim (repo-standard one-shot warn_* pattern)
-# ---------------------------------------------------------------------------
-
-_construction_warned = False
-
-
-def warn_record_construction(cls: type, stacklevel: int = 3) -> None:
-    """Emit the direct-record-construction warning at most once.
-
-    Records are engine-owned: the engine writes them as raw column rows
-    and everything else reads them through the blessed trace accessors.
-    Code that legitimately forges records (tests, the trace JSON loader)
-    uses ``Record.make(...)``, which skips this shim.
-    """
-    global _construction_warned
-    if _construction_warned:
-        return
-    _construction_warned = True
-    warnings.warn(
-        f"direct construction of {cls.__name__} is deprecated; use "
-        f"{cls.__name__}.make(...) — record layout is an engine internal "
-        "and the positional/keyword signature is only guaranteed through "
-        "make()",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def reset_record_warning() -> None:
-    """Re-arm the one-shot deprecation (for tests)."""
-    global _construction_warned
-    _construction_warned = False
-
-
-# ---------------------------------------------------------------------------
 # slotted record classes
 # ---------------------------------------------------------------------------
-
-
-def _fill(rec, args: tuple, kwargs: dict) -> None:
-    """Assign constructor arguments onto a freshly allocated record."""
-    cls = type(rec)
-    names = cls._fields
-    if len(args) > len(names):
-        raise TypeError(
-            f"{cls.__name__} takes at most {len(names)} arguments "
-            f"({len(args)} given)"
-        )
-    for name, value in zip(names, args):
-        if name in kwargs:
-            raise TypeError(
-                f"{cls.__name__} got multiple values for {name!r}"
-            )
-        setattr(rec, name, value)
-    defaults = cls._defaults
-    for name in names[len(args) :]:
-        if name in kwargs:
-            setattr(rec, name, kwargs.pop(name))
-        elif name in defaults:
-            setattr(rec, name, defaults[name])
-        else:
-            raise TypeError(
-                f"{cls.__name__} missing required argument {name!r}"
-            )
-    if kwargs:
-        bad = ", ".join(sorted(kwargs))
-        raise TypeError(f"{cls.__name__} got unexpected arguments: {bad}")
-
-
-def _restore(cls: type, values: tuple):
-    """Unpickle helper: rebuild a record from its field-value tuple."""
-    rec = cls.__new__(cls)
-    for name, value in zip(cls._fields, values):
-        setattr(rec, name, value)
-    return rec
 
 
 class _Record:
@@ -126,8 +47,7 @@ class _Record:
     Subclasses declare ``__slots__`` (the field order), ``_defaults``
     (trailing optional fields) and ``_float_fields`` (fields the
     columnar store keeps in ``array('d')``).  Equality, hashing, repr,
-    ``replace`` and ``as_dict`` all derive from ``_fields`` so they
-    match the old frozen-dataclass behaviour field for field.
+    ``replace`` and ``as_dict`` all derive from ``_fields``.
     """
 
     __slots__ = ()
@@ -136,18 +56,35 @@ class _Record:
     _float_fields: frozenset = frozenset()
 
     def __init__(self, *args, **kwargs):
-        warn_record_construction(type(self))
-        _fill(self, args, kwargs)
-
-    @classmethod
-    def make(cls, *args, **kwargs):
-        """Forge a record without the deprecation shim (blessed)."""
-        rec = cls.__new__(cls)
-        _fill(rec, args, kwargs)
-        return rec
+        cls = type(self)
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__name__} takes at most {len(names)} arguments "
+                f"({len(args)} given)"
+            )
+        for name, value in zip(names, args):
+            if name in kwargs:
+                raise TypeError(
+                    f"{cls.__name__} got multiple values for {name!r}"
+                )
+            setattr(self, name, value)
+        defaults = cls._defaults
+        for name in names[len(args) :]:
+            if name in kwargs:
+                setattr(self, name, kwargs.pop(name))
+            elif name in defaults:
+                setattr(self, name, defaults[name])
+            else:
+                raise TypeError(
+                    f"{cls.__name__} missing required argument {name!r}"
+                )
+        if kwargs:
+            bad = ", ".join(sorted(kwargs))
+            raise TypeError(f"{cls.__name__} got unexpected arguments: {bad}")
 
     def replace(self, **changes):
-        """A copy with the given fields swapped (ex dataclasses.replace)."""
+        """A copy with the given fields swapped."""
         cls = type(self)
         rec = cls.__new__(cls)
         for name in cls._fields:
@@ -162,7 +99,7 @@ class _Record:
         return rec
 
     def as_dict(self) -> dict:
-        """Field-name -> value mapping in field order (ex asdict)."""
+        """Field-name -> value mapping in field order."""
         return {name: getattr(self, name) for name in self._fields}
 
     def _astuple(self) -> tuple:
@@ -183,7 +120,7 @@ class _Record:
         return f"{type(self).__name__}({body})"
 
     def __reduce__(self):
-        return _restore, (type(self), self._astuple())
+        return type(self), self._astuple()
 
 
 class TaskRecord(_Record):
@@ -559,10 +496,10 @@ class _ColumnStore:
 class RecordsView(Sequence):
     """Callable sequence over one record kind.
 
-    ``trace.tasks`` behaves like the list it used to be (``len``,
-    indexing, slicing, iteration, ``append``/``extend``, item
-    assignment), while ``trace.tasks()`` — the blessed iteration
-    spelling — returns the view itself.  Records materialize lazily out
+    ``trace.tasks`` behaves like a list (``len``, indexing, slicing,
+    iteration, ``append``/``extend``, item assignment), while
+    ``trace.tasks()`` — the blessed iteration spelling — returns the
+    view itself.  Records materialize lazily out
     of the columnar store on first access.
     """
 
@@ -783,13 +720,12 @@ class _DerivedStats:
 class ExecutionTrace:
     """Accumulates task and transfer records for one runtime session.
 
-    No longer a dataclass: record storage is columnar (see the module
-    docstring) and the class carries explicit ``RECORD_KINDS`` /
-    ``COUNTER_FIELDS`` / ``STATE_FIELDS`` tuples for code that used to
-    introspect ``dataclasses.fields`` (trace export, replay comparison).
+    Record storage is columnar (see the module docstring); the explicit
+    ``RECORD_KINDS`` / ``COUNTER_FIELDS`` / ``STATE_FIELDS`` tuples name
+    the state that trace export and replay comparison walk.
     """
 
-    #: record list attributes, in the order the old dataclass declared
+    #: record list attributes, in canonical (serialization) order
     RECORD_KINDS = (
         "tasks",
         "transfers",
@@ -814,7 +750,7 @@ class ExecutionTrace:
         "blacklisted_workers",
         "lost_workers",
     )
-    #: the full comparable state, in old dataclass field order
+    #: the full comparable state, in canonical order
     STATE_FIELDS = RECORD_KINDS + COUNTER_FIELDS
 
     _RECORD_CLASSES = {

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.errors import RuntimeSystemError
-from repro.hw.description import HOST_NODE, Machine
+from repro.hw.description import HOST_NODE, MachineDescription
 from repro.runtime.stats import (
     AccessRecord,
     EvictionRecord,
@@ -51,7 +51,7 @@ class MachineInfo:
     """Minimal machine description embedded in saved traces.
 
     The invariant checker accepts either a live
-    :class:`~repro.hw.description.Machine` or this summary, so
+    :class:`~repro.hw.description.MachineDescription` or this summary, so
     ``python -m repro.check trace.json`` needs nothing but the file.
     """
 
@@ -62,7 +62,7 @@ class MachineInfo:
     duplex: dict[int, bool]
 
     @classmethod
-    def of(cls, machine: "Machine | MachineInfo") -> "MachineInfo":
+    def of(cls, machine: "MachineDescription | MachineInfo") -> "MachineInfo":
         if isinstance(machine, MachineInfo):
             return machine
         return cls(
@@ -107,7 +107,9 @@ _COUNTER_FIELDS = (
 )
 
 
-def trace_to_dict(trace: ExecutionTrace, machine: Machine | MachineInfo) -> dict:
+def trace_to_dict(
+    trace: ExecutionTrace, machine: MachineDescription | MachineInfo
+) -> dict:
     """Lossless JSON-able form of the trace plus the machine summary."""
     info = MachineInfo.of(machine)
     doc: dict = {
@@ -131,7 +133,7 @@ def trace_to_dict(trace: ExecutionTrace, machine: Machine | MachineInfo) -> dict
 
 def trace_from_dict(doc: dict) -> tuple[ExecutionTrace, MachineInfo]:
     """Rebuild (trace, machine summary) from :func:`trace_to_dict` output."""
-    if doc.get("format") != "repro-trace":
+    if not isinstance(doc, dict) or doc.get("format") != "repro-trace":
         raise RuntimeSystemError(
             "not a repro trace document (missing format marker); expected "
             "the output of save_trace_json, not a Chrome trace"
@@ -156,7 +158,7 @@ def trace_from_dict(doc: dict) -> tuple[ExecutionTrace, MachineInfo]:
             for tup in ("worker_ids", "reads", "writes", "deps", "related"):
                 if tup in kwargs and kwargs[tup] is not None:
                     kwargs[tup] = tuple(kwargs[tup])
-            getattr(trace, key).append(cls.make(**kwargs))
+            getattr(trace, key).append(cls(**kwargs))
     for key in _COUNTER_FIELDS:
         setattr(trace, key, int(doc.get(key, 0)))
     trace.blacklisted_workers = set(doc.get("blacklisted_workers", []))
@@ -165,7 +167,9 @@ def trace_from_dict(doc: dict) -> tuple[ExecutionTrace, MachineInfo]:
 
 
 def save_trace_json(
-    trace: ExecutionTrace, machine: Machine | MachineInfo, path: str | Path
+    trace: ExecutionTrace,
+    machine: MachineDescription | MachineInfo,
+    path: str | Path,
 ) -> Path:
     """Write the lossless trace JSON; returns the path."""
     path = Path(path)
@@ -176,10 +180,18 @@ def save_trace_json(
 
 def load_trace_json(path: str | Path) -> tuple[ExecutionTrace, MachineInfo]:
     """Read a lossless trace JSON back into (trace, machine summary)."""
-    return trace_from_dict(json.loads(Path(path).read_text()))
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # truncated or not JSON at all
+        raise RuntimeSystemError(
+            f"trace file {path} is not valid JSON ({exc})"
+        ) from exc
+    return trace_from_dict(doc)
 
 
-def canonical_chrome_json(trace: ExecutionTrace, machine: Machine) -> str:
+def canonical_chrome_json(
+    trace: ExecutionTrace, machine: MachineDescription
+) -> str:
     """Chrome trace JSON of the *canonicalized* trace, byte-stable.
 
     Two runs that made identical decisions produce identical strings
@@ -191,7 +203,7 @@ def canonical_chrome_json(trace: ExecutionTrace, machine: Machine) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def to_chrome_trace(trace: ExecutionTrace, machine: Machine) -> dict:
+def to_chrome_trace(trace: ExecutionTrace, machine: MachineDescription) -> dict:
     """Build the Chrome trace-event JSON object."""
     events: list[dict] = []
     # process/thread naming metadata
@@ -326,7 +338,9 @@ def to_chrome_trace(trace: ExecutionTrace, machine: Machine) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def _counter_events(trace: ExecutionTrace, machine: Machine) -> list[dict]:
+def _counter_events(
+    trace: ExecutionTrace, machine: MachineDescription
+) -> list[dict]:
     """Queue-depth and per-worker utilization counter tracks.
 
     Derived from the task records: at every task boundary we emit the
@@ -471,7 +485,7 @@ def _request_events(trace: ExecutionTrace) -> list[dict]:
 
 
 def save_chrome_trace(
-    trace: ExecutionTrace, machine: Machine, path: str | Path
+    trace: ExecutionTrace, machine: MachineDescription, path: str | Path
 ) -> Path:
     """Write the Chrome trace JSON; returns the path."""
     path = Path(path)
@@ -481,7 +495,7 @@ def save_chrome_trace(
 
 
 def gantt_text(
-    trace: ExecutionTrace, machine: Machine, width: int = 72
+    trace: ExecutionTrace, machine: MachineDescription, width: int = 72
 ) -> str:
     """Quick terminal Gantt chart of the worker timelines."""
     span = trace.makespan

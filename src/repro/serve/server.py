@@ -30,16 +30,12 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.errors import PeppherError, UnrecoverableTaskError
 from repro.hw.faults import FaultModel
-from repro.hw.description import Machine
+from repro.hw.description import MachineDescription
 from repro.obs.suite import MetricsSuite
 from repro.runtime.engine import RecoveryPolicy
 from repro.runtime.perfmodel import PerfModel
 from repro.runtime.runtime import Runtime
-from repro.runtime.schedulers import (
-    FairShareScheduler,
-    Scheduler,
-    warn_scheduler_instance,
-)
+from repro.runtime.schedulers import FairShareScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tuning.store import PerfModelStore
@@ -80,8 +76,7 @@ class CompositionServer:
         dispatch to batch-as-window planning: every coalesced
         (cross-tenant) batch is submitted whole, planned as one DAG
         window, and committed in a single flush — see
-        ``docs/PLANNER.md``.  Passing a pre-built :class:`Scheduler`
-        instance is deprecated (one-shot ``DeprecationWarning``).
+        ``docs/PLANNER.md``.
     scheduler_options:
         Extra keyword arguments for the named policy.
     admission:
@@ -112,9 +107,9 @@ class CompositionServer:
 
     def __init__(
         self,
-        machine: Machine,
+        machine: MachineDescription,
         tenants: Sequence[TenantSpec],
-        scheduler: str | Scheduler = "fair",
+        scheduler: str = "fair",
         admission: AdmissionPolicy | None = None,
         batching: BatchPolicy | None = None,
         seed: int = 0,
@@ -138,37 +133,23 @@ class CompositionServer:
             raise PeppherError(f"tenant names must be unique, got {names}")
         self.tenants = list(tenants)
         weights = {t.name: t.weight for t in self.tenants}
-        if isinstance(scheduler, str):
-            # resolve by name so the hand-off to Runtime stays on the
-            # unified string + options form
-            opts = dict(scheduler_options or {})
-            if scheduler == "fair":
-                opts.setdefault("weights", weights)
-            self.fair_dispatch = scheduler == "fair"
-            sched_kwargs: dict = {
-                "scheduler": scheduler,
-                "scheduler_options": opts,
-            }
-        else:
-            warn_scheduler_instance("CompositionServer")
-            if scheduler_options:
-                raise PeppherError(
-                    "scheduler_options only apply when scheduler is given by name"
-                )
-            self.fair_dispatch = scheduler.name == "fair"
-            sched_kwargs = {"scheduler": scheduler}
+        opts = dict(scheduler_options or {})
+        self.fair_dispatch = scheduler == "fair"
+        if self.fair_dispatch:
+            opts.setdefault("weights", weights)
         self.runtime = Runtime(
             machine,
+            scheduler=scheduler,
             seed=seed,
             noise_sigma=noise_sigma,
             run_kernels=run_kernels,
             faults=faults,
             recovery=recovery,
             perfmodel=perfmodel,
+            scheduler_options=opts,
             store=store,
             check=check,
             exec_backend=exec_backend,
-            **sched_kwargs,
         )
         self.engine = self.runtime.engine
         #: bulk (window-planning) policies defer placement until a
@@ -285,7 +266,7 @@ class CompositionServer:
         else:
             self.admission.note_shed()
             self._record_request(
-                RequestRecord.make(
+                RequestRecord(
                     tenant=req.tenant,
                     req_id=req.req_id,
                     codelet=req.codelet_name,
@@ -322,7 +303,7 @@ class CompositionServer:
             else:
                 self.admission.note_shed()
                 self._record_request(
-                    RequestRecord.make(
+                    RequestRecord(
                         tenant=req.tenant,
                         req_id=req.req_id,
                         codelet=req.codelet_name,
@@ -400,7 +381,7 @@ class CompositionServer:
         if task is None or task.chosen_variant is None:
             # fault recovery exhausted during the window flush
             self._inflight += 1
-            rec = RequestRecord.make(
+            rec = RequestRecord(
                 tenant=req.tenant,
                 req_id=req.req_id,
                 codelet=req.codelet_name,
@@ -427,7 +408,7 @@ class CompositionServer:
         )
         n, mean = self._shape_obs.get(req.shape_key, (0, 0.0))
         self._shape_obs[req.shape_key] = (n + 1, mean + (service - mean) / (n + 1))
-        rec = RequestRecord.make(
+        rec = RequestRecord(
             tenant=req.tenant,
             req_id=req.req_id,
             codelet=req.codelet_name,
@@ -452,7 +433,7 @@ class CompositionServer:
         except UnrecoverableTaskError:
             # fault recovery exhausted: a per-tenant SLO miss, not a crash
             self._inflight += 1
-            rec = RequestRecord.make(
+            rec = RequestRecord(
                 tenant=req.tenant,
                 req_id=req.req_id,
                 codelet=req.codelet_name,
@@ -483,7 +464,7 @@ class CompositionServer:
             )
         n, mean = self._shape_obs.get(req.shape_key, (0, 0.0))
         self._shape_obs[req.shape_key] = (n + 1, mean + (service - mean) / (n + 1))
-        rec = RequestRecord.make(
+        rec = RequestRecord(
             tenant=req.tenant,
             req_id=req.req_id,
             codelet=req.codelet_name,

@@ -28,8 +28,8 @@ import numpy as np
 
 from repro.errors import PeppherError, RuntimeSystemError
 from repro.hw.faults import FaultModel
-from repro.hw.description import Machine
-from repro.hw.presets import by_name
+from repro.hw.description import MachineDescription
+from repro.hw import presets
 from repro.obs.suite import MetricsSuite
 from repro.runtime.engine import RecoveryPolicy
 from repro.runtime.runtime import Runtime
@@ -49,8 +49,9 @@ class Session:
     machine:
         A preset name (``"c2050"``, ``"c1060"``, ``"2xc2050"``,
         ``"cpu"``), a zero-argument machine factory, or a built
-        :class:`~repro.hw.description.Machine`.  ``machine_options`` are
-        forwarded to the preset/factory (e.g. ``n_cpu_cores=5``).
+        :class:`~repro.hw.description.MachineDescription`.
+        ``machine_options`` are forwarded to the preset/factory (e.g.
+        ``n_cpu_cores=5``).
     scheduler:
         Scheduling policy name resolved via
         :func:`~repro.runtime.schedulers.make_scheduler`, with
@@ -92,7 +93,7 @@ class Session:
 
     def __init__(
         self,
-        machine: str | Machine | Callable[..., Machine] = "c2050",
+        machine: str | MachineDescription | Callable[..., MachineDescription] = "c2050",
         scheduler: str = "dmda",
         scheduler_options: Mapping[str, object] | None = None,
         store: "PerfModelStore | str | Path | None" = None,
@@ -112,10 +113,10 @@ class Session:
         opts = dict(machine_options or {})
         if isinstance(machine, str):
             name = machine
-            self._machine_factory: Callable[[], Machine] = lambda: by_name(
-                name, **opts
+            self._machine_factory: Callable[[], MachineDescription] = (
+                lambda: presets.machine(name, **opts)
             )
-        elif isinstance(machine, Machine):
+        elif isinstance(machine, MachineDescription):
             if opts:
                 raise PeppherError(
                     "machine_options only apply when machine is a preset "
@@ -128,7 +129,7 @@ class Session:
             self._machine_factory = lambda: factory(**opts)
         else:
             raise PeppherError(
-                f"machine must be a preset name, Machine or factory, "
+                f"machine must be a preset name, MachineDescription or factory, "
                 f"got {type(machine).__name__}"
             )
         if store is not None and not isinstance(store, PerfModelStore):
@@ -223,7 +224,7 @@ class Session:
     # -- delegation to the runtime ------------------------------------------
 
     @property
-    def machine(self) -> Machine:
+    def machine(self) -> MachineDescription:
         return self.runtime.machine
 
     @property

@@ -40,7 +40,7 @@ from repro.components.interface import InterfaceDescriptor
 from repro.composer.glue import lower_component
 from repro.composer.training import OperandFactory
 from repro.errors import CompositionError, SchedulingError
-from repro.hw.description import Machine
+from repro.hw.description import MachineDescription
 from repro.runtime.perfmodel import PerfModel
 from repro.runtime.runtime import Runtime
 from repro.tuning.store import PerfModelStore
@@ -150,7 +150,7 @@ class CalibrationReport:
 def calibrate_component(
     interface: InterfaceDescriptor,
     implementations: Sequence[ImplementationDescriptor],
-    machine_factory: Callable[[], Machine],
+    machine_factory: Callable[[], MachineDescription],
     make_operands: OperandFactory,
     store: PerfModelStore | None = None,
     ladder: Sequence[ContextInstance] | None = None,

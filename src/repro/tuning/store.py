@@ -30,14 +30,14 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from repro.errors import StaleModelError
-from repro.hw.description import Machine
+from repro.hw.description import MachineDescription
 from repro.runtime.perfmodel import PerfModel
 
 #: bump when the serialised model layout changes incompatibly
 FORMAT_VERSION = 1
 
 
-def machine_fingerprint(machine: Machine) -> str:
+def machine_fingerprint(machine: MachineDescription) -> str:
     """Stable hash of the machine description (not its name).
 
     Any change to the unit layout, a device's calibrated figures
@@ -111,16 +111,16 @@ class PerfModelStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
 
-    def path_for(self, machine: Machine) -> Path:
+    def path_for(self, machine: MachineDescription) -> Path:
         safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in machine.name)
         return self.root / f"{safe}.json"
 
-    def has(self, machine: Machine) -> bool:
+    def has(self, machine: MachineDescription) -> bool:
         return self.path_for(machine).exists()
 
     # -- loading -----------------------------------------------------------
 
-    def _read_payload(self, machine: Machine) -> dict | None:
+    def _read_payload(self, machine: MachineDescription) -> dict | None:
         path = self.path_for(machine)
         if not path.exists():
             return None
@@ -152,7 +152,7 @@ class PerfModelStore:
         return payload
 
     def load(
-        self, machine: Machine, codelets: Iterable[str] | None = None
+        self, machine: MachineDescription, codelets: Iterable[str] | None = None
     ) -> PerfModel | None:
         """Load the calibrated model for ``machine``.
 
@@ -173,14 +173,14 @@ class PerfModelStore:
         return model
 
     def warm_model(
-        self, machine: Machine, codelets: Iterable[str] | None = None
+        self, machine: MachineDescription, codelets: Iterable[str] | None = None
     ) -> PerfModel:
         """Like :meth:`load` but a cold machine yields a fresh empty
         model, so callers can unconditionally hand the result to a
         :class:`~repro.runtime.runtime.Runtime`."""
         return self.load(machine, codelets) or PerfModel()
 
-    def provenance(self, machine: Machine) -> dict[str, dict]:
+    def provenance(self, machine: MachineDescription) -> dict[str, dict]:
         """Per-codelet provenance recorded at save time."""
         payload = self._read_payload(machine)
         if payload is None:
@@ -194,7 +194,7 @@ class PerfModelStore:
 
     def save(
         self,
-        machine: Machine,
+        machine: MachineDescription,
         model: PerfModel,
         provenance: Mapping[str, Mapping] | None = None,
     ) -> Path:
@@ -247,7 +247,7 @@ class PerfModelStore:
 
     # -- dispatch tables (static composition) ------------------------------
 
-    def save_dispatch_table(self, machine: Machine, table) -> Path:
+    def save_dispatch_table(self, machine: MachineDescription, table) -> Path:
         """Persist a trained :class:`~repro.composer.static_comp.DispatchTable`
         under its interface's codelet entry (atomically, merge-on-save
         like :meth:`save`; the stale-replacement rule is the same)."""
@@ -281,7 +281,7 @@ class PerfModelStore:
         self._write_atomic(path, payload)
         return path
 
-    def load_dispatch_table(self, machine: Machine, interface_name: str):
+    def load_dispatch_table(self, machine: MachineDescription, interface_name: str):
         """The stored dispatch table for one component, or ``None``.
 
         Stale entries raise :class:`~repro.errors.StaleModelError`, same
@@ -330,7 +330,7 @@ class PerfModelStore:
 
     # -- maintenance -------------------------------------------------------
 
-    def invalidate(self, machine: Machine) -> bool:
+    def invalidate(self, machine: MachineDescription) -> bool:
         """Drop the machine's entry (fresh or stale); True if one existed."""
         path = self.path_for(machine)
         if path.exists():

@@ -1,14 +1,20 @@
 """``python -m repro.check`` CLI: exit codes and reporting."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.check.__main__ import main
+from repro.errors import RuntimeSystemError
 from repro.hw.presets import platform_c2050
 from repro.runtime import Runtime
-from repro.runtime.trace_export import save_trace_json
+from repro.runtime.trace_export import load_trace_json, save_trace_json
 
 from tests.conftest import make_axpy_codelet
 
@@ -73,6 +79,42 @@ def test_foreign_document_exits_two(tmp_path, capsys):
     chrome.write_text(json.dumps({"traceEvents": []}))
     assert main([str(chrome)]) == 2
     assert "unreadable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content", ['["a"]', '{"format": "repro-trace", "version"'],
+    ids=["list-valued", "truncated"],
+)
+def test_malformed_json_exits_two(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    assert main([str(bad)]) == 2
+    assert "unreadable" in capsys.readouterr().err
+
+
+def test_loaders_raise_typed_errors_on_malformed_json(tmp_path):
+    listed = tmp_path / "listed.json"
+    listed.write_text('["a"]')
+    with pytest.raises(RuntimeSystemError, match="not a repro trace"):
+        load_trace_json(listed)
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"format": "repro-trace", "version"')
+    with pytest.raises(RuntimeSystemError, match="truncated.json"):
+        load_trace_json(truncated)
+
+
+def test_cli_process_reports_malformed_input_without_traceback(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('["a"]')
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.check", str(bad)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "unreadable trace" in proc.stderr
 
 
 def test_multiple_traces_one_bad_exits_one(trace_file, capsys):

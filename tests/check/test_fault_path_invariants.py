@@ -99,7 +99,7 @@ def test_placement_on_blacklisted_worker_is_flagged():
         if trigger is not None:
             break
     assert trigger is not None, "workload too uniform to forge a scenario"
-    _forge(tr, FaultRecord.make(
+    _forge(tr, FaultRecord(
         kind="blacklisted",
         time=later.ready_time * 0.5,
         task_id=trigger.task_id,
@@ -114,7 +114,7 @@ def test_placement_on_blacklisted_worker_is_flagged():
 def test_trigger_task_keeping_blacklisted_worker_is_flagged():
     tr, machine = _faulty_trace()
     rec = tr.tasks[0]
-    _forge(tr, FaultRecord.make(
+    _forge(tr, FaultRecord(
         kind="blacklisted",
         time=0.0,
         task_id=rec.task_id,

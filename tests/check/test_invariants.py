@@ -153,7 +153,7 @@ def _task(
 
 
     node = machine.unit(worker).memory_node
-    return TaskRecord.make(
+    return TaskRecord(
         task_id=task_id,
         name=f"t#{task_id}",
         codelet="t",
@@ -278,7 +278,7 @@ def test_device_read_with_transfer_is_coherent():
     machine = platform_c2050()
     gpu = machine.gpu_units[0]
     node = gpu.memory_node
-    staged = TransferRecord.make(
+    staged = TransferRecord(
         handle_id=7,
         handle_name="data7",
         src_node=HOST_NODE,
@@ -298,7 +298,7 @@ def test_device_read_with_transfer_is_coherent():
 def test_read_before_transfer_completes_is_illegal():
     machine = platform_c2050()
     gpu = machine.gpu_units[0]
-    staged = TransferRecord.make(
+    staged = TransferRecord(
         handle_id=7,
         handle_name="data7",
         src_node=HOST_NODE,
@@ -319,7 +319,7 @@ def test_read_before_transfer_completes_is_illegal():
 def test_transfer_from_node_without_copy():
     machine = platform_c2050()
     node = machine.gpu_units[0].memory_node
-    ghost = TransferRecord.make(
+    ghost = TransferRecord(
         handle_id=3,
         handle_name="data3",
         src_node=node,
@@ -335,7 +335,7 @@ def test_transfer_from_node_without_copy():
 
 def test_self_transfer_is_malformed():
     machine = platform_c2050()
-    loop = TransferRecord.make(
+    loop = TransferRecord(
         handle_id=3,
         handle_name="data3",
         src_node=HOST_NODE,
@@ -354,7 +354,7 @@ def test_overlapping_transfers_on_one_link_channel():
     node = machine.gpu_units[0].memory_node
 
     def h2d(handle_id, start, end, seq):
-        return TransferRecord.make(
+        return TransferRecord(
             handle_id=handle_id,
             handle_name=f"data{handle_id}",
             src_node=HOST_NODE,
@@ -374,7 +374,7 @@ def test_overlapping_transfers_on_one_link_channel():
 def test_eviction_from_node_without_copy():
     machine = platform_c2050()
     node = machine.gpu_units[0].memory_node
-    phantom = EvictionRecord.make(
+    phantom = EvictionRecord(
         handle_id=3,
         handle_name="data3",
         node=node,
@@ -396,7 +396,7 @@ def test_evicting_the_last_copy_is_illegal():
     writer = replace(
         _task(machine, 0, 0.0, 1.0, worker=gpu.unit_id, seq=0), writes=(5,)
     )
-    drop = EvictionRecord.make(
+    drop = EvictionRecord(
         handle_id=5,
         handle_name="data5",
         node=node,
@@ -411,7 +411,7 @@ def test_evicting_the_last_copy_is_illegal():
 
 def test_host_eviction_is_invalid():
     machine = platform_c2050()
-    bad = EvictionRecord.make(
+    bad = EvictionRecord(
         handle_id=5,
         handle_name="data5",
         node=HOST_NODE,
@@ -429,7 +429,7 @@ def test_host_eviction_is_invalid():
 
 def test_shed_request_with_task_breaks_conservation():
     machine = cpu_only(1)
-    shed = RequestRecord.make(
+    shed = RequestRecord(
         tenant="a", req_id=0, codelet="c", arrival_time=0.0, shed=True,
         task_id=12,
     )
@@ -439,7 +439,7 @@ def test_shed_request_with_task_breaks_conservation():
 
 def test_completed_request_must_map_to_completed_task():
     machine = cpu_only(1)
-    orphan = RequestRecord.make(
+    orphan = RequestRecord(
         tenant="a", req_id=0, codelet="c", arrival_time=0.0,
         dispatch_time=0.1, start_time=0.2, end_time=0.3, task_id=42,
     )
@@ -450,7 +450,7 @@ def test_completed_request_must_map_to_completed_task():
 def test_request_task_time_mismatch_is_reported():
     machine = cpu_only(1)
     task = _task(machine, 0, 1.0, 2.0)
-    req = RequestRecord.make(
+    req = RequestRecord(
         tenant="a", req_id=0, codelet="t", arrival_time=0.0,
         dispatch_time=0.5, start_time=1.0, end_time=9.0, task_id=0,
     )

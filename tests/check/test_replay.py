@@ -137,6 +137,19 @@ def test_decision_log_rejects_foreign_documents():
     assert excinfo.value.rule == "replay.log-format"
 
 
+@pytest.mark.parametrize(
+    "content, match",
+    [('["a"]', "missing format marker"), ('{"format": "repro-', "log.json")],
+    ids=["list-valued", "truncated"],
+)
+def test_decision_log_load_rejects_malformed_json(tmp_path, content, match):
+    path = tmp_path / "log.json"
+    path.write_text(content)
+    with pytest.raises(ReplayDivergence, match=match) as excinfo:
+        DecisionLog.load(path)
+    assert excinfo.value.rule == "replay.log-format"
+
+
 def test_decision_log_rejects_future_versions():
     doc = DecisionLog().to_jsonable()
     doc["version"] = 99

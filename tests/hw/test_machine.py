@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import RuntimeSystemError
 from repro.hw.devices import tesla_c1060, tesla_c2050, xeon_e5520_core
-from repro.hw.description import HOST_NODE, make_machine
+from repro.hw.description import HOST_NODE, MachineDescription, make_machine
 from repro.hw.interconnect import pcie2_x16
 
 
@@ -103,3 +103,14 @@ def test_mixed_gpu_machine():
     )
     names = [u.device.name for u in m.gpu_units]
     assert names == ["Tesla C2050", "Tesla C1060"]
+
+
+def test_description_is_keyword_only():
+    m = _machine()
+    copy = MachineDescription(name="kw", units=list(m.units), links=dict(m.links))
+    assert copy.n_memory_nodes == m.n_memory_nodes
+    assert MachineDescription(name="bare").links == {}
+    with pytest.raises(TypeError):
+        MachineDescription("positional", list(m.units))
+    with pytest.raises(TypeError):
+        MachineDescription(units=[])

@@ -5,7 +5,6 @@ import pytest
 from repro.hw.devices import AccessPattern, tesla_c2050, xeon_e5520_core
 from repro.hw.model import (
     DEFAULT_PROFILES,
-    CoarseDeviceModel,
     DetailedDeviceModel,
     KernelProfile,
     LatencyTable,
@@ -134,22 +133,6 @@ def test_volta_reaches_full_occupancy():
 
 
 # -- tier equivalence and dispatch ------------------------------------------
-
-def test_coarse_model_matches_modelless_spec():
-    bare = tesla_c2050()
-    import dataclasses
-    explicit = dataclasses.replace(bare, model=CoarseDeviceModel())
-    for pattern in AccessPattern:
-        for flops, nbytes in [(1e9, 4e8), (0.0, 1e6), (1e7, 0.0)]:
-            assert explicit.roofline_time(flops, nbytes, pattern) == (
-                bare.roofline_time(flops, nbytes, pattern)
-            )
-
-
-def test_coarse_model_equality():
-    assert CoarseDeviceModel() == CoarseDeviceModel()
-    assert CoarseDeviceModel().knobs() == {}
-
 
 def test_fidelity_property():
     assert tesla_c2050().fidelity == "coarse"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hw.noise import NoiseModel, NullNoise
+from repro.hw.noise import NoiseModel
 
 
 def test_deterministic_per_seed():
@@ -39,7 +39,7 @@ def test_negative_duration_rejected():
     with pytest.raises(ValueError):
         NoiseModel(seed=0).perturb(-1.0)
     with pytest.raises(ValueError):
-        NullNoise().perturb(-1.0)
+        NoiseModel(sigma=0.0).perturb(-1.0)
 
 
 def test_negative_sigma_rejected():
@@ -48,16 +48,8 @@ def test_negative_sigma_rejected():
 
 
 def test_null_noise_is_identity():
-    null = NullNoise()
+    null = NoiseModel(sigma=0.0)
     assert null.perturb(3.25) == 3.25
-
-
-def test_null_noise_is_sigma_zero_alias():
-    """NullNoise shares NoiseModel's perturb (single validation path)."""
-    assert NullNoise().sigma == 0.0
-    assert isinstance(NullNoise(), NoiseModel)
-    assert "perturb" not in vars(NullNoise)  # no duplicated override
-    assert NullNoise().perturb(1.5) == NoiseModel(sigma=0.0).perturb(1.5)
 
 
 def test_sigma_zero_consumes_no_randomness():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.presets import by_name, cpu_only, platform_c1060, platform_c2050
+from repro.hw.presets import cpu_only, machine, platform_c1060, platform_c2050
 
 
 def test_c2050_platform_layout():
@@ -27,13 +27,13 @@ def test_cpu_only_has_no_gpu():
 
 
 def test_by_name_dispatch():
-    assert by_name("c2050").name == "xeon-e5520+c2050"
-    assert by_name("cpu", n_cpu_cores=2).name == "xeon-e5520-2c"
+    assert machine("c2050").name == "xeon-e5520+c2050"
+    assert machine("cpu", n_cpu_cores=2).name == "xeon-e5520-2c"
 
 
 def test_by_name_unknown():
     with pytest.raises(KeyError):
-        by_name("gtx9000")
+        machine("gtx9000")
 
 
 def test_custom_core_count():

@@ -1,24 +1,20 @@
 """Property-based tests for the detailed device-model tier.
 
-Three families of invariants, over randomly drawn knobs and launch
+Two families of invariants, over randomly drawn knobs and launch
 shapes:
 
 - occupancy never exceeds any hardware limit of the SM;
 - predicted kernel time is monotonically non-increasing in the L1/L2
   hit rates and in every level's bandwidth (faster memory never makes a
-  kernel slower);
-- a spec with an explicit :class:`CoarseDeviceModel` prices every
-  kernel exactly like the model-less legacy spelling (the equivalence
-  behind the golden-digest byte-identity guarantee).
+  kernel slower).
 """
 
 import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.hw.devices import AccessPattern, tesla_c1060, tesla_c2050
+from repro.hw.devices import AccessPattern
 from repro.hw.model import (
-    CoarseDeviceModel,
     DetailedDeviceModel,
     KernelProfile,
     LatencyTable,
@@ -150,21 +146,6 @@ def test_kernel_time_monotone_in_bandwidth(h1, h2, scale, pattern, nbytes):
 
     assert with_mem(scale).roofline_time(0.0, nbytes, pattern) <= (
         with_mem(1.0).roofline_time(0.0, nbytes, pattern) + 1e-15
-    )
-
-
-@given(
-    flops=st.floats(min_value=0.0, max_value=1e12),
-    nbytes=st.floats(min_value=0.0, max_value=1e10),
-    pattern=_patterns,
-    which=st.sampled_from(["c2050", "c1060"]),
-)
-@settings(max_examples=200, deadline=None)
-def test_explicit_coarse_model_is_byte_identical(flops, nbytes, pattern, which):
-    bare = tesla_c2050() if which == "c2050" else tesla_c1060()
-    explicit = dataclasses.replace(bare, model=CoarseDeviceModel())
-    assert explicit.roofline_time(flops, nbytes, pattern) == (
-        bare.roofline_time(flops, nbytes, pattern)
     )
 
 

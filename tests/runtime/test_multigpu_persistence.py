@@ -8,6 +8,7 @@ from repro.composer.glue import lower_component
 from repro.hw.description import HOST_NODE
 from repro.hw.presets import platform_dual_c2050
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
+from repro.tuning import PerfModelStore
 from repro.workloads.sparse import make_matrix
 
 
@@ -90,7 +91,7 @@ def test_hybrid_spmv_scales_with_second_gpu():
 # -- persistent calibration -----------------------------------------------------
 
 def test_perfmodel_persists_across_sessions(tmp_path):
-    path = tmp_path / "perf.json"
+    store = PerfModelStore(tmp_path)
     cl_spec = lambda: Codelet(
         "axpy",
         [
@@ -101,8 +102,7 @@ def test_perfmodel_persists_across_sessions(tmp_path):
 
     def session(n_tasks):
         rt = Runtime(
-            platform_dual_c2050(), scheduler="dmda", seed=1,
-            perfmodel_path=str(path),
+            platform_dual_c2050(), scheduler="dmda", seed=1, store=store,
         )
         cl = cl_spec()
         h = rt.register(np.zeros(1000, dtype=np.float32))
@@ -115,13 +115,13 @@ def test_perfmodel_persists_across_sessions(tmp_path):
 
     first = session(10)
     assert "cpu" in first  # cold model: calibration explored the CPU
-    assert path.exists()
+    assert store.has(platform_dual_c2050())
     second = session(10)
     # warm model loaded from disk: no exploration, straight to the GPU
     assert all(a == "cuda" for a in second)
 
 
-def test_perfmodel_path_and_object_are_exclusive(tmp_path):
+def test_store_and_perfmodel_are_exclusive(tmp_path):
     from repro.errors import RuntimeSystemError
     from repro.runtime.perfmodel import PerfModel
 
@@ -129,5 +129,5 @@ def test_perfmodel_path_and_object_are_exclusive(tmp_path):
         Runtime(
             platform_dual_c2050(),
             perfmodel=PerfModel(),
-            perfmodel_path=str(tmp_path / "p.json"),
+            store=PerfModelStore(tmp_path),
         )

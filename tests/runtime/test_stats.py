@@ -6,7 +6,7 @@ from repro.runtime.stats import ExecutionTrace, TaskRecord, TransferRecord
 
 
 def _task(tid=0, worker=(0,), start=0.0, end=1.0, arch="cpu", variant="v"):
-    return TaskRecord.make(
+    return TaskRecord(
         task_id=tid, name=f"t{tid}", codelet="c", variant=variant, arch=arch,
         worker_ids=worker, submit_time=0.0, ready_time=0.0,
         start_time=start, end_time=end,
@@ -14,7 +14,7 @@ def _task(tid=0, worker=(0,), start=0.0, end=1.0, arch="cpu", variant="v"):
 
 
 def _transfer(src=0, dst=1, nbytes=100, start=0.0, end=0.5, hid=0):
-    return TransferRecord.make(
+    return TransferRecord(
         handle_id=hid, handle_name=f"h{hid}", src_node=src, dst_node=dst,
         nbytes=nbytes, start_time=start, end_time=end,
     )

@@ -1,15 +1,14 @@
-"""The blessed trace-access API and its deprecation shims.
+"""The trace-access API.
 
-The million-task refactor made record layout an engine internal:
-records live in a columnar store and everything outside the engine
-reads them through ``trace.tasks()`` / ``trace.columns(...)`` or forges
-them with ``Record.make(...)``.  These tests pin the stable surface —
-and that the metrics-off hot path builds no event payloads at all.
+Records live in a columnar store; everything outside the engine reads
+them through ``trace.tasks()`` / ``trace.columns(...)`` or forges them
+with the record constructor (``TaskRecord(...)``).  These tests pin
+that surface — and that the metrics-off hot path builds no event
+payloads at all.
 """
 
 from __future__ import annotations
 
-import warnings
 from array import array
 
 import numpy as np
@@ -22,7 +21,6 @@ from repro.runtime.stats import (
     ExecutionTrace,
     TaskRecord,
     TransferRecord,
-    reset_record_warning,
 )
 
 
@@ -103,31 +101,18 @@ def test_state_dict_round_trips_records():
     rt.shutdown()
 
 
-# -- deprecation shim --------------------------------------------------------
+# -- record construction -----------------------------------------------------
 
 
-def test_direct_record_construction_warns_once():
-    reset_record_warning()
-    try:
-        with pytest.warns(DeprecationWarning, match="direct construction of"):
-            TaskRecord(1, "t", "c", "v", "cpu", (0,), 0.0, 0.0, 0.0, 1.0)
-        # one-shot: the second construction stays silent
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            TaskRecord(2, "t2", "c", "v", "cpu", (0,), 0.0, 0.0, 0.0, 1.0)
-    finally:
-        reset_record_warning()
-
-
-def test_make_does_not_warn():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rec = TaskRecord.make(
-            1, "t", "c", "v", "cpu", (0,), 0.0, 0.0, 0.0, 1.0
-        )
+def test_record_constructor():
+    rec = TaskRecord(1, "t", "c", "v", "cpu", (0,), 0.0, 0.0, 0.0, 1.0)
     assert rec.end_time == 1.0
     assert rec.replace(name="u").name == "u"
     assert rec.as_dict()["task_id"] == 1
+    with pytest.raises(TypeError, match="multiple values"):
+        TaskRecord(1, "t", "c", "v", "cpu", (0,), 0.0, 0.0, 0.0, 1.0, task_id=2)
+    with pytest.raises(TypeError, match="missing required"):
+        TaskRecord(1, "t")
 
 
 # -- metrics-off hot path ----------------------------------------------------

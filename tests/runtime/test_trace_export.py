@@ -157,16 +157,16 @@ def _serving_trace():
     trace = ExecutionTrace()
     trace.requests.extend(
         [
-            RequestRecord.make(
+            RequestRecord(
                 tenant="alpha", req_id=0, codelet="sgemm", arrival_time=0.0,
                 dispatch_time=0.01, start_time=0.02, end_time=0.05,
                 batch_size=2, task_id=1,
             ),
-            RequestRecord.make(
+            RequestRecord(
                 tenant="beta", req_id=1, codelet="spmv", arrival_time=0.01,
                 shed=True,
             ),
-            RequestRecord.make(
+            RequestRecord(
                 tenant="alpha", req_id=2, codelet="sgemm", arrival_time=0.02,
                 failed=True,
             ),
@@ -209,7 +209,7 @@ def _golden_trace():
     gpu = machine.gpu_units[0]
     trace = ExecutionTrace()
     trace.tasks.append(
-        TaskRecord.make(
+        TaskRecord(
             task_id=0, name="prep#0", codelet="prep", variant="prep_cpu",
             arch="cpu", worker_ids=(0,), submit_time=0.0, ready_time=0.0,
             start_time=0.0, end_time=0.004, node=HOST_NODE, submit_seq=0,
@@ -217,14 +217,14 @@ def _golden_trace():
         )
     )
     trace.transfers.append(
-        TransferRecord.make(
+        TransferRecord(
             handle_id=0, handle_name="data0", src_node=HOST_NODE,
             dst_node=gpu.memory_node, nbytes=4096, start_time=0.004,
             end_time=0.006, seq=1,
         )
     )
     trace.tasks.append(
-        TaskRecord.make(
+        TaskRecord(
             task_id=1, name="kernel#1", codelet="kernel",
             variant="kernel_cuda", arch="cuda", worker_ids=(gpu.unit_id,),
             submit_time=0.0, ready_time=0.004, start_time=0.006,

@@ -31,7 +31,7 @@ def rec(tenant, req_id, arrival, end, **kw):
         end_time=end,
     )
     defaults.update(kw)
-    return RequestRecord.make(**defaults)
+    return RequestRecord(**defaults)
 
 
 def test_request_record_decomposition():
@@ -41,7 +41,7 @@ def test_request_record_decomposition():
     assert r.queue_wait == pytest.approx(0.001)
     assert r.pending_wait == pytest.approx(0.001)
     assert r.exec_s == pytest.approx(0.008)
-    shed = RequestRecord.make(
+    shed = RequestRecord(
         tenant="t", req_id=1, codelet="sgemm", arrival_time=0.0, shed=True
     )
     assert not shed.completed
@@ -51,12 +51,12 @@ def test_request_record_decomposition():
 def test_tenant_slo_counts_and_rates():
     records = [rec("t", i, i * 0.01, i * 0.01 + 0.005) for i in range(8)]
     records.append(
-        RequestRecord.make(
+        RequestRecord(
             tenant="t", req_id=8, codelet="sgemm", arrival_time=0.2, shed=True
         )
     )
     records.append(
-        RequestRecord.make(
+        RequestRecord(
             tenant="t",
             req_id=9,
             codelet="sgemm",

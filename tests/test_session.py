@@ -6,7 +6,7 @@ import pytest
 import repro
 from repro import Session
 from repro.errors import PeppherError
-from repro.hw.description import Machine
+from repro.hw.description import MachineDescription
 from repro.hw.presets import platform_c2050
 from repro.tuning import PerfModelStore
 
@@ -47,7 +47,7 @@ def test_session_accepts_machine_instance_and_factory():
     with Session(machine) as s:
         assert s.machine is machine
     with Session(lambda: platform_c2050()) as s:
-        assert isinstance(s.machine, Machine)
+        assert isinstance(s.machine, MachineDescription)
 
 
 def test_session_rejects_options_with_machine_instance():

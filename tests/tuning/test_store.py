@@ -156,6 +156,25 @@ def test_atomic_save_leaves_no_temp_files(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_interrupted_save_keeps_old_file(tmp_path, monkeypatch):
+    import repro.tuning.store as store_mod
+
+    store = PerfModelStore(tmp_path)
+    machine = platform_c2050()
+    path = store.save(machine, _model(base=1e-9))
+    before = path.read_text()
+
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(store_mod.os, "replace", broken_replace)
+    with pytest.raises(OSError):
+        store.save(machine, _model(base=5e-9))
+    # the old entry survives untouched and no temp file is left behind
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_invalidate_and_machines(tmp_path):
     store = PerfModelStore(tmp_path)
     gpu, cpu = platform_c2050(), cpu_only(4)
