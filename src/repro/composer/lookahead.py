@@ -17,7 +17,8 @@ in submission order (a valid topological order under sequential data
 consistency), scoring each prefix with
 
 - kernel time from the learned performance model (never ground truth —
-  the same :meth:`~repro.runtime.schedulers.base.EngineView.predict_exec`
+  the same
+  :meth:`~repro.runtime.schedulers.base.EngineView.calibrated_estimates`
   dmda uses, so warm tuning-store models, ``measured``-provenance
   calibration and analytical history all flow in), and
 - modeled PCIe transfer costs seeded from the *current* MSI coherence
@@ -245,17 +246,17 @@ class LookaheadScheduler(BulkScheduler):
         for task in tasks:
             cands = enumerate_candidates(task, view)
             candidates.append(cands)
-            if not task.codelet.performance_aware or any(
-                not view.is_calibrated(
-                    task, d.variant, self.calibration_samples
-                )
-                for d in cands
-            ):
+            if not plannable:
+                continue
+            estimates = (
+                view.calibrated_estimates(task, cands, self.calibration_samples)
+                if task.codelet.performance_aware
+                else None
+            )
+            if estimates is None:
                 plannable = False
-            elif plannable:
-                # compiled right after the calibration check, while the
-                # view still caches this task's model footprint
-                steps.append(self._compile(task, cands, index, view))
+            else:
+                steps.append(self._compile(task, cands, estimates, index))
         if not plannable:
             # calibration phase (or history-less codelets): the inner
             # dmda places every task — identical semantics to running
@@ -316,11 +317,12 @@ class LookaheadScheduler(BulkScheduler):
     def _compile(
         task: "Task",
         cands: list[Decision],
+        estimates: list[float],
         index: dict[int, int],
-        view: EngineView,
     ) -> _Step:
-        """Compile one task of the window (``index``: task id → plan
-        index) into its planning step."""
+        """Compile one task of the window (``estimates``: predicted exec
+        seconds per candidate; ``index``: task id → plan index) into its
+        planning step."""
         ops = [
             (op.mode, op.handle.handle_id, op.handle.nbytes)
             for op in task.operands
@@ -331,13 +333,8 @@ class LookaheadScheduler(BulkScheduler):
             tuple((hid, nb) for mode, hid, nb in ops if mode.reads),
             tuple((hid, nb) for mode, hid, nb in ops if mode.writes),
             [
-                (
-                    d.anchor.memory_node,
-                    tuple(u.unit_id for u in d.workers),
-                    # plannable ⇒ calibrated: never None here
-                    view.predict_exec(task, d.variant, d.anchor),
-                )
-                for d in cands
+                (d.anchor.memory_node, tuple(u.unit_id for u in d.workers), est)
+                for d, est in zip(cands, estimates)
             ],
         )
 

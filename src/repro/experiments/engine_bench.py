@@ -12,7 +12,11 @@ gating.  Two synthetic workloads bracket the dependency spectrum:
 - **lookahead** — the same engine under the ``lookahead`` planner: each
   task reads one handle and read-writes another, so every 16-task window
   mixes fan-out and chains that the beam search must plan jointly.  It
-  has its own, lower floor (:data:`LOOKAHEAD_FLOOR`).
+  has its own, lower floor (:data:`LOOKAHEAD_FLOOR`);
+- **dmda** — the paper's default policy on a warm model: each task
+  reads one handle whose size lies below or above the CPU/GPU
+  crossover, so the model prices both variants on every choice.  Its
+  floor is :data:`DMDA_FLOOR`.
 
 Kernels are skipped (``run_kernels=False``) and noise is off: this
 measures the *engine*, not NumPy.
@@ -74,11 +78,26 @@ LOOKAHEAD_FLOOR = 1500.0
 #: calibration tasks
 LOOKAHEAD_HANDLES = 8
 
+#: floor of the ``dmda`` workload (same units).  Pricing every candidate
+#: from the task's resolved model entry sustains ~35-46k tasks/s on a
+#: 2-vCPU Xeon host (best warmed rep, smoke size; ~24k when every
+#: candidate made its own model queries).  The floor sits >3x below, so
+#: only a per-task blow-up trips it: e.g. choices priced by regression
+#: fits that are refit after every record (~7-10k tasks/s when the
+#: warm-up left variants without history).
+DMDA_FLOOR = 10000.0
+
+#: operand element counts of the ``dmda`` workload, spanning the
+#: crossover of its CPU (2 ns/element) and CUDA (20 us launch +
+#: 10 ps/element) variants at ~10k elements
+DMDA_SIZES = (512, 2048, 8192, 32768, 131072)
+
 #: per-workload throughput floors
 FLOORS = {
     "fanout": THROUGHPUT_FLOOR,
     "chain": THROUGHPUT_FLOOR,
     "lookahead": LOOKAHEAD_FLOOR,
+    "dmda": DMDA_FLOOR,
 }
 
 #: timed repetitions per workload (best is reported); the smoke run
@@ -139,6 +158,18 @@ def _runtime(seed: int, scheduler: str = "eager") -> Runtime:
     )
 
 
+def _timed(rt: Runtime, name: str, n_tasks: int, submit) -> WorkloadResult:
+    """Time ``submit(i)`` for ``i < n_tasks`` plus the final drain, then
+    shut the runtime down (untimed)."""
+    t0 = time.perf_counter()
+    for i in range(n_tasks):
+        submit(i)
+    rt.wait_for_all()
+    wall = time.perf_counter() - t0
+    rt.shutdown()
+    return WorkloadResult(name, n_tasks, wall)
+
+
 def run_fanout(n_tasks: int = 5000, n_handles: int = 8, seed: int = 0) -> WorkloadResult:
     """Independent tasks over a rotating set of read-only handles."""
     rt = _runtime(seed)
@@ -147,13 +178,12 @@ def run_fanout(n_tasks: int = 5000, n_handles: int = 8, seed: int = 0) -> Worklo
         rt.register(np.zeros(64, dtype=np.float32), f"f{i}")
         for i in range(n_handles)
     ]
-    t0 = time.perf_counter()
-    for i in range(n_tasks):
-        rt.submit(codelet, [(handles[i % n_handles], "r")], name=f"fan{i}")
-    rt.wait_for_all()
-    wall = time.perf_counter() - t0
-    rt.shutdown()
-    return WorkloadResult("fanout", n_tasks, wall)
+    return _timed(
+        rt,
+        "fanout",
+        n_tasks,
+        lambda i: rt.submit(codelet, [(handles[i % n_handles], "r")], name=f"fan{i}"),
+    )
 
 
 def run_chain(n_tasks: int = 5000, seed: int = 0) -> WorkloadResult:
@@ -161,13 +191,9 @@ def run_chain(n_tasks: int = 5000, seed: int = 0) -> WorkloadResult:
     rt = _runtime(seed)
     codelet = _bench_codelet()
     h = rt.register(np.zeros(64, dtype=np.float32), "chain")
-    t0 = time.perf_counter()
-    for i in range(n_tasks):
-        rt.submit(codelet, [(h, "rw")], name=f"chain{i}")
-    rt.wait_for_all()
-    wall = time.perf_counter() - t0
-    rt.shutdown()
-    return WorkloadResult("chain", n_tasks, wall)
+    return _timed(
+        rt, "chain", n_tasks, lambda i: rt.submit(codelet, [(h, "rw")], name=f"chain{i}")
+    )
 
 
 def run_lookahead(n_tasks: int = 5000, seed: int = 0) -> WorkloadResult:
@@ -192,17 +218,62 @@ def run_lookahead(n_tasks: int = 5000, seed: int = 0) -> WorkloadResult:
     for i in range(LOOKAHEAD_HANDLES):
         submit(i)
         rt.wait_for_all()
-    calibration = rt.scheduler.n_fallback_windows
-    t0 = time.perf_counter()
-    for i in range(n_tasks):
-        submit(i)
-    rt.wait_for_all()
-    wall = time.perf_counter() - t0
     sched = rt.scheduler
-    rt.shutdown()
+    calibration = sched.n_fallback_windows
+    result = _timed(rt, "lookahead", n_tasks, submit)
     if sched.n_fallback_windows != calibration:
         raise RuntimeError("lookahead workload: a timed window fell back to dmda")
-    return WorkloadResult("lookahead", n_tasks, wall)
+    return result
+
+
+def _crossover_codelet() -> Codelet:
+    return Codelet(
+        "crossover",
+        [
+            ImplVariant(
+                "crossover_cpu",
+                Arch.CPU,
+                lambda ctx, *a: None,
+                lambda ctx, dev: 2e-9 * ctx["n"],
+            ),
+            ImplVariant(
+                "crossover_cuda",
+                Arch.CUDA,
+                lambda ctx, *a: None,
+                lambda ctx, dev: 2e-5 + 1e-11 * ctx["n"],
+            ),
+        ],
+    )
+
+
+def run_dmda(n_tasks: int = 5000, seed: int = 0) -> WorkloadResult:
+    """Warm dmda: task ``i`` reads the handle of size class
+    ``i % len(DMDA_SIZES)``.  Untimed synced tasks first run each
+    variant twice on every size (through single-variant copies of the
+    codelet, which share its history), so every timed choice is priced
+    from history and none explores."""
+    rt = _runtime(seed, "dmda")
+    codelet = _crossover_codelet()
+    handles = [
+        (rt.register(np.zeros(n, dtype=np.float32), f"d{n}"), {"n": n})
+        for n in DMDA_SIZES
+    ]
+    for variant in codelet.variants:
+        only = codelet.restricted([variant.name])
+        for h, ctx in handles:
+            for _ in range(2):
+                rt.submit(only, [(h, "r")], ctx=ctx, sync=True)
+    trace = rt.engine.trace
+    explored = trace.n_exploration_decisions
+
+    def submit(i: int) -> None:
+        h, ctx = handles[i % len(handles)]
+        rt.submit(codelet, [(h, "r")], ctx=ctx, name=f"dmda{i}")
+
+    result = _timed(rt, "dmda", n_tasks, submit)
+    if trace.n_exploration_decisions != explored:
+        raise RuntimeError("dmda workload: a timed task explored")
+    return result
 
 
 def _measure(fn, n_tasks: int, seed: int, reps: int) -> WorkloadResult:
@@ -233,6 +304,7 @@ def run(smoke: bool = False, seed: int = 0) -> list[WorkloadResult]:
         _measure(run_fanout, n, seed, reps),
         _measure(run_chain, n, seed, reps),
         _measure(run_lookahead, n, seed, reps),
+        _measure(run_dmda, n, seed, reps),
     ]
 
 

@@ -50,7 +50,7 @@ from repro.runtime.access import AccessMode
 from repro.runtime.codelet import ImplVariant
 from repro.runtime.data import CopyState, DataHandle
 from repro.runtime.events import EngineEvents
-from repro.runtime.perfmodel import PerfModel
+from repro.runtime.perfmodel import FootprintEntry, PerfModel
 from repro.runtime.schedulers.base import Decision, Scheduler
 from repro.runtime.stats import (
     AccessRecord,
@@ -264,10 +264,9 @@ class Engine:
         #: enumerate_candidates (guard-free codelets only); cleared
         #: whenever worker health changes (device loss, blacklisting)
         self.candidate_cache: dict[int, tuple] = {}
-        #: one-entry (task, footprint, size) cache: schedulers query the
-        #: performance model several times per choose() for the same
-        #: task, and the footprint cannot change within one choice
-        self._fp_cache: tuple[Task, tuple, float] | None = None
+        #: footprint -> its shared FootprintEntry; a task resolves its
+        #: entry once and every later model query goes through it
+        self._model_entries: dict[tuple, FootprintEntry] = {}
         #: (src, dst, nbytes) -> seconds memo for MachineDescription.transfer_time
         #: (pure function of the link specs; distinct keys are few)
         self._tt_cache: dict[tuple[int, int, int], float] = {}
@@ -373,7 +372,7 @@ class Engine:
             direction = "d2h" if node == HOST_NODE else "h2d"
             t_link = task.ready_time
             if node != HOST_NODE:
-                t_link = max(t_link, self._link_available(node, direction))
+                t_link = max(t_link, self.link_available(node, direction))
             for h in pending:
                 src = h.pick_source()
                 t_src = h._ready_at[src]
@@ -409,33 +408,56 @@ class Engine:
             )
         return dur
 
-    def _footprint_size(self, task: Task) -> tuple[tuple, float]:
-        """The task's (footprint, total operand bytes), cached while the
-        same task is queried repeatedly (one scheduling choice asks for
-        several variants; neither value can change mid-choice)."""
-        cached = self._fp_cache
-        if cached is not None and cached[0] is task:
-            return cached[1], cached[2]
-        fp = task.footprint()
-        size = float(sum(op.handle.nbytes for op in task.operands))
-        self._fp_cache = (task, fp, size)
-        return fp, size
+    def calibrated_estimates(
+        self, task: Task, decisions: list[Decision], min_history: int
+    ) -> list[float | None] | None:
+        entry = task.model_entry
+        if entry is None:
+            # first query for this task: compute its footprint once and
+            # intern it, so tasks of one footprint share one entry
+            fp = task.footprint()
+            entries = self._model_entries
+            try:
+                entry = entries.get(fp)
+            except TypeError:  # unhashable footprint override: not shared
+                entry = FootprintEntry(fp)
+            if entry is None:
+                if len(entries) >= 4096:  # leak guard, not policy
+                    entries.clear()
+                entry = entries[fp] = FootprintEntry(fp)
+            task.model_entry = entry
+        history = self.perf.history
+        entry.refresh(history)
+        need = max(min_history, history.min_samples)
+        estimates = []
+        for d in decisions:
+            st = entry[d.variant.name]
+            if st is None or st.n < need:
+                break
+            estimates.append(st.mean)
+        else:
+            return estimates
+        # some candidate lacks that much history: per-variant queries
+        # (regression values depend on the exact size; never cached)
+        if not all(self.is_calibrated(task, d.variant, min_history) for d in decisions):
+            return None
+        return [self.predict_exec(task, d.variant, d.anchor) for d in decisions]
 
     def predict_exec(
         self, task: Task, variant: ImplVariant, unit: ProcessingUnit
     ) -> float | None:
-        fp, size = self._footprint_size(task)
-        return self.perf.predict(fp, variant.name, size)
+        return self.perf.predict(
+            task.footprint(), variant.name, float(task.operand_bytes())
+        )
 
     def n_samples(self, task: Task, variant: ImplVariant) -> int:
-        return self.perf.n_samples(self._footprint_size(task)[0], variant.name)
+        return self.perf.n_samples(task.footprint(), variant.name)
 
     def is_calibrated(
         self, task: Task, variant: ImplVariant, min_history: int
     ) -> bool:
-        fp, size = self._footprint_size(task)
         return self.perf.calibrated(
-            fp, variant.name, size, min_history=min_history
+            task.footprint(), variant.name, float(task.operand_bytes()), min_history
         )
 
     def note_exploration(self, task: Task) -> None:
@@ -452,10 +474,6 @@ class Engine:
 
     def worker_usable(self, unit_id: int) -> bool:
         return unit_id not in self._lost_workers and unit_id not in self._blacklisted
-
-    def failed_placements(self, task: Task) -> set[tuple[str, int]]:
-        failed = task.failed_on
-        return failed if failed is not None else set()
 
     # ------------------------------------------------------------------
     # data registration
@@ -1124,11 +1142,10 @@ class Engine:
             ) from exc
         self.measurements.append(m)
         if variant is not None:
-            size = float(sum(h.nbytes for h in task.handles))
             self.perf.record(
                 task.footprint(),
                 variant.name,
-                size,
+                float(task.operand_bytes()),
                 m.wall_s,
                 provenance="measured",
             )
@@ -1436,7 +1453,7 @@ class Engine:
         dur = self.transfer_time(src, node, handle.nbytes)
         resend = 0
         while True:
-            link_free = self._link_available(link_node, direction)
+            link_free = self.link_available(link_node, direction)
             start = max(earliest, handle.ready_at(src), link_free)
             end = start + dur
             if (
@@ -1565,10 +1582,6 @@ class Engine:
             self.events.emit_evict(t, rec)
         return t
 
-    def _link_available(self, link_node: int, direction: str) -> float:
-        key = self._link_keys[(link_node, direction)]
-        return self._link_free.get(key, 0.0)
-
     def link_available(self, link_node: int, direction: str) -> float:
         """EngineView: when the (link, direction) DMA queue frees up.
 
@@ -1576,7 +1589,7 @@ class Engine:
         window planned while earlier transfers are still queued does not
         model the PCIe link as idle.
         """
-        return self._link_available(link_node, direction)
+        return self._link_free.get(self._link_keys[(link_node, direction)], 0.0)
 
     def _occupy_link(self, link_node: int, direction: str, until: float) -> None:
         key = self._link_keys[(link_node, direction)]

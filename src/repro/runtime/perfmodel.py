@@ -81,6 +81,15 @@ class HistoryModel:
             raise ValueError("min_samples must be >= 1")
         self.min_samples = min_samples
         self._table: dict[tuple, RunningStats] = {}
+        #: bumped whenever a key is added or its stats object replaced;
+        #: an in-place record into an existing key leaves it alone, so a
+        #: reference to a live RunningStats stays exact while it holds
+        self.version = 0
+
+    def _put(self, key: tuple, stats: RunningStats) -> None:
+        """Add or replace one key's stats object."""
+        self._table[key] = stats
+        self.version += 1
 
     @staticmethod
     def _key(footprint: tuple, variant_name: str) -> tuple:
@@ -94,7 +103,8 @@ class HistoryModel:
         key = (_footprint_repr(footprint), variant_name)
         stats = self._table.get(key)
         if stats is None:
-            stats = self._table[key] = RunningStats()
+            stats = RunningStats()
+            self._put(key, stats)
         if duration < 0:
             raise RuntimeSystemError(f"negative duration observed: {duration}")
         n = stats.n + 1
@@ -115,6 +125,40 @@ class HistoryModel:
 
     def __len__(self) -> int:
         return len(self._table)
+
+
+class FootprintEntry(dict):
+    """One footprint's live history: variant name -> its
+    :class:`RunningStats` in a :class:`HistoryModel` table (None while
+    the table has no such key), filled on first lookup.  The engine
+    interns one entry per footprint and every task with that footprint
+    points at it.
+
+    In-place records update the stats objects themselves, so the map
+    stays exact until ``history.version`` moves; :meth:`refresh` then
+    empties it.
+    """
+
+    __slots__ = ("footprint", "key", "table", "version")
+
+    def __init__(self, footprint: tuple) -> None:
+        super().__init__()
+        self.footprint = footprint
+        #: the footprint part of the history table's keys
+        self.key = _footprint_repr(footprint)
+        self.table: dict | None = None
+        self.version = -1
+
+    def refresh(self, history: HistoryModel) -> None:
+        """Make the map valid for ``history`` as it is now."""
+        if self.table is not history._table or self.version != history.version:
+            self.clear()
+            self.table = history._table
+            self.version = history.version
+
+    def __missing__(self, variant_name: str) -> RunningStats | None:
+        st = self[variant_name] = self.table.get((self.key, variant_name))
+        return st
 
 
 class RegressionModel:
@@ -170,14 +214,15 @@ class RegressionModel:
                     fit = (log_a, b)
         return fit
 
-    def predict(self, variant_name: str, size: float) -> float | None:
-        if size <= 0:
-            return None
-        fit = self._fit(variant_name)
+    @staticmethod
+    def _at(fit: tuple[float, float] | None, size: float) -> float | None:
         if fit is None:
             return None
         log_a, b = fit
         return math.exp(log_a + b * math.log(size))
+
+    def predict(self, variant_name: str, size: float) -> float | None:
+        return None if size <= 0 else self._at(self._fit(variant_name), size)
 
     def predict_from(
         self, samples: list[tuple[float, float]], size: float
@@ -185,13 +230,7 @@ class RegressionModel:
         """Prediction from an explicit sample list under this model's fit
         rules, without touching recorded state — e.g. for out-of-sample
         validation of a fit against a measurement it has not seen."""
-        if size <= 0:
-            return None
-        fit = self._fit_samples(samples)
-        if fit is None:
-            return None
-        log_a, b = fit
-        return math.exp(log_a + b * math.log(size))
+        return None if size <= 0 else self._at(self._fit_samples(samples), size)
 
     def samples(self, variant_name: str) -> list[tuple[float, float]]:
         """Copy of the recorded (size, duration) samples for a variant."""
@@ -371,14 +410,12 @@ class PerfModel:
         model = cls()
         for entry in raw.get("history", []):
             st = RunningStats(n=entry["n"], mean=entry["mean"], m2=entry["m2"])
-            model.history._table[(entry["footprint"], entry["variant"])] = st
+            model.history._put((entry["footprint"], entry["variant"]), st)
         for var, samples in raw.get("regression", {}).items():
             model.regression._samples[var] = [tuple(s) for s in samples]
         for entry in raw.get("measured_history", []):
             st = RunningStats(n=entry["n"], mean=entry["mean"], m2=entry["m2"])
-            model.measured_history._table[
-                (entry["footprint"], entry["variant"])
-            ] = st
+            model.measured_history._put((entry["footprint"], entry["variant"]), st)
         for var, samples in raw.get("measured_regression", {}).items():
             model.measured_regression._samples[var] = [tuple(s) for s in samples]
         model._variant_codelet = dict(raw.get("codelets", {}))
@@ -404,8 +441,8 @@ class PerfModel:
             for key, theirs in theirs_h._table.items():
                 ours = mine_h._table.get(key)
                 if ours is None or theirs.n > ours.n:
-                    mine_h._table[key] = RunningStats(
-                        n=theirs.n, mean=theirs.mean, m2=theirs.m2
+                    mine_h._put(
+                        key, RunningStats(n=theirs.n, mean=theirs.mean, m2=theirs.m2)
                     )
         for mine_r, theirs_r in (
             (self.regression, other.regression),
@@ -442,8 +479,8 @@ class PerfModel:
         ):
             for (fp, var), st in theirs_h._table.items():
                 if var in keep:
-                    mine_h._table[(fp, var)] = RunningStats(
-                        n=st.n, mean=st.mean, m2=st.m2
+                    mine_h._put(
+                        (fp, var), RunningStats(n=st.n, mean=st.mean, m2=st.m2)
                     )
         for mine_r, theirs_r in (
             (out.regression, self.regression),

@@ -75,6 +75,17 @@ class EngineView(Protocol):
         through this, never through ``machine.transfer_time``)."""
         ...
 
+    def calibrated_estimates(
+        self, task: "Task", decisions: Sequence[Decision], min_history: int
+    ) -> list[float | None] | None:
+        """Learned execution-time estimate of every decision, in order,
+        or None while any of them is uncalibrated (see
+        :meth:`is_calibrated`).  Each estimate equals
+        :meth:`predict_exec` for that decision; the history case is
+        priced from the task's resolved model entry, one lookup per
+        candidate."""
+        ...
+
     def predict_exec(
         self, task: "Task", variant: ImplVariant, unit: "ProcessingUnit"
     ) -> float | None:
@@ -109,11 +120,6 @@ class EngineView(Protocol):
     def worker_usable(self, unit_id: int) -> bool:
         """False for workers whose device was lost or that the recovery
         layer blacklisted after repeated faults."""
-        ...
-
-    def failed_placements(self, task: "Task") -> set[tuple[str, int]]:
-        """(variant name, anchor unit id) placements that already faulted
-        for this task; retries prefer placements outside this set."""
         ...
 
 
@@ -181,9 +187,8 @@ def enumerate_candidates(
             f"{[v.name for v in task.codelet.variants]}, context rejected: "
             f"{[v.name for v in task.codelet.variants if not v.selectable(task.ctx)]})"
         )
-    # read the per-task fault set directly: it is None for every task
-    # that never faulted, and the view-method indirection costs a call
-    # on the per-task hot path
+    # (variant name, anchor unit id) placements that already faulted;
+    # None for every task that never faulted
     failed = task.failed_on
     if failed:
         untried = [

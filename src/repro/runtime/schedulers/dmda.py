@@ -91,13 +91,16 @@ class DmdaScheduler(Scheduler):
         # A variant counts as calibrated with either enough exact history
         # for this size bucket or a regression fit covering the size —
         # warm-started models therefore skip exploration entirely.
-        undersampled = [
-            d
-            for d in candidates
-            if not view.is_calibrated(task, d.variant, self.calibration_samples)
-        ]
-        if undersampled:
+        estimates = view.calibrated_estimates(
+            task, candidates, self.calibration_samples
+        )
+        if estimates is None:
             view.note_exploration(task)
+            undersampled = [
+                d
+                for d in candidates
+                if not view.is_calibrated(task, d.variant, self.calibration_samples)
+            ]
 
             # among undersampled variants prefer the globally least
             # sampled one, then the earliest-starting worker for it
@@ -113,39 +116,43 @@ class DmdaScheduler(Scheduler):
         # --- steady state: minimum expected completion time ----------------
         best: Decision | None = None
         best_key: tuple[float, int] | None = None
-        # data readiness/transfer cost depend only on the target memory
-        # node; candidates sharing a node share one estimate
+        avail_at = view.worker_available_times()
+        # data readiness and the transfer penalty depend only on the
+        # target memory node; candidates sharing a node share them.  At
+        # beta == 1 the penalty is 0.0 * cost, so the cost is not priced.
         node_est: dict[int, tuple[float, float]] = {}
-        for decision in candidates:
-            node = decision.anchor.memory_node
-            avail = max(
-                view.worker_available_at(u.unit_id) for u in decision.workers
-            )
+        weight = self.beta - 1.0
+        for decision, exec_est in zip(candidates, estimates):
+            assert exec_est is not None  # calibrated: model must answer
+            workers = decision.workers
+            anchor = workers[0]
+            if len(workers) == 1:
+                avail = avail_at[anchor.unit_id]
+            else:
+                avail = max(avail_at[u.unit_id] for u in workers)
             if self.data_aware:
+                node = anchor.memory_node
                 est = node_est.get(node)
                 if est is None:
                     est = node_est[node] = (
                         view.estimate_data_ready(task, node),
-                        view.estimate_transfer_cost(task, node),
+                        weight * view.estimate_transfer_cost(task, node)
+                        if weight
+                        else 0.0,
                     )
-                data_ready = est[0]
-                penalty = (self.beta - 1.0) * est[1]
+                data_ready, penalty = est
             else:
                 data_ready = task.ready_time
                 penalty = 0.0
-            exec_est = view.predict_exec(task, decision.variant, decision.anchor)
-            assert exec_est is not None  # calibrated: model must answer
             completion = (
                 max(task.ready_time, avail, data_ready) + exec_est + penalty
             )
             if self.objective == "min_exec_time":
                 score = completion
             else:
-                energy = exec_est * sum(
-                    u.device.busy_watts for u in decision.workers
-                )
+                energy = exec_est * sum(u.device.busy_watts for u in workers)
                 score = energy if self.objective == "min_energy" else energy * completion
-            key = (score, completion, decision.anchor.unit_id)
+            key = (score, completion, anchor.unit_id)
             if best_key is None or key < best_key:
                 best, best_key = decision, key
         assert best is not None

@@ -21,6 +21,7 @@ from repro.runtime.data import DataHandle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hw.description import ProcessingUnit
+    from repro.runtime.perfmodel import FootprintEntry
 
 
 class TaskState(Enum):
@@ -85,6 +86,7 @@ class Task:
         "n_faults",
         "failed_on",
         "first_fault_arch",
+        "model_entry",
     )
 
     _ids = count()
@@ -141,6 +143,9 @@ class Task:
         #: backend architecture of the first failed attempt (fallback
         #: accounting: recovery on a different arch counts as a fallback)
         self.first_fault_arch: str | None = None
+        #: the engine's shared performance-model entry for this task's
+        #: footprint, set when the engine first resolves it
+        self.model_entry: "FootprintEntry | None" = None
 
     # -- dependency graph ---------------------------------------------------
 
@@ -185,14 +190,20 @@ class Task:
         (coefficients, time points) are payload, not size, and are
         excluded so history is reused across them.  The context may
         override everything with an explicit ``footprint`` entry.
+
+        Once the engine has resolved the task's model entry this returns
+        the entry's (interned) footprint instead of recomputing it.
         """
+        entry = self.model_entry
+        if entry is not None:
+            return entry.footprint
         ctx = self.ctx
         if ctx:
             override = ctx.get("footprint")
             if override is not None:
                 return (self.codelet.name, override)
             ctx_sizes = tuple(
-                (key, _bucket(abs(value)))
+                (key, abs(value).bit_length())
                 for key, value in sorted(ctx.items())
                 if isinstance(value, int)
                 and not isinstance(value, bool)
@@ -202,6 +213,10 @@ class Task:
             ctx_sizes = ()
         sizes = tuple(op.handle.nbytes.bit_length() for op in self.operands)
         return (self.codelet.name, sizes, ctx_sizes)
+
+    def operand_bytes(self) -> int:
+        """Total operand bytes: the regression model's size axis."""
+        return sum(op.handle.nbytes for op in self.operands)
 
     def run_kernel(self) -> None:
         """Execute the real computation of the chosen variant."""
@@ -213,7 +228,3 @@ class Task:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Task {self.name} {self.state.value}>"
 
-
-def _bucket(nbytes: int) -> int:
-    """Log2 size bucket (0 for empty operands)."""
-    return int(nbytes).bit_length()

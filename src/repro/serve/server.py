@@ -380,50 +380,10 @@ class CompositionServer:
                       batch_size: int) -> None:
         if task is None or task.chosen_variant is None:
             # fault recovery exhausted during the window flush
-            self._inflight += 1
-            rec = RequestRecord(
-                tenant=req.tenant,
-                req_id=req.req_id,
-                codelet=req.codelet_name,
-                arrival_time=req.arrival_s,
-                failed=True,
-                delayed=req.delayed,
-                dispatch_time=dispatch_time,
-                batch_size=batch_size,
-            )
-            self._record_request(rec)
-            self._push(self.engine.clock.now, _COMPLETION, (req, rec))
+            self._fail_request(req, dispatch_time, batch_size)
             return
         transfer_s = self._task_transfer_s.pop(task.task_id, 0.0)
-        service = task.end_time - task.start_time
-        self.wfq.charge(req.tenant, service)
-        sched = self.engine.scheduler
-        if isinstance(sched, FairShareScheduler):
-            sched.note_service(req.tenant, service)
-        size = float(sum(h.nbytes for h in task.handles))
-        self._shape_info[req.shape_key] = (
-            task.footprint(),
-            task.chosen_variant.name,
-            size,
-        )
-        n, mean = self._shape_obs.get(req.shape_key, (0, 0.0))
-        self._shape_obs[req.shape_key] = (n + 1, mean + (service - mean) / (n + 1))
-        rec = RequestRecord(
-            tenant=req.tenant,
-            req_id=req.req_id,
-            codelet=req.codelet_name,
-            arrival_time=req.arrival_s,
-            delayed=req.delayed,
-            dispatch_time=dispatch_time,
-            start_time=task.start_time,
-            end_time=task.end_time,
-            transfer_s=transfer_s,
-            batch_size=batch_size,
-            task_id=task.task_id,
-        )
-        self._record_request(rec)
-        self._inflight += 1
-        self._push(task.end_time, _COMPLETION, (req, rec))
+        self._settle(req, task, dispatch_time, batch_size, transfer_s)
 
     def _submit_one(self, req: Request, batch_size: int) -> None:
         dispatch_time = self.engine.clock.now
@@ -432,35 +392,45 @@ class CompositionServer:
             task = req.submit(self.runtime)
         except UnrecoverableTaskError:
             # fault recovery exhausted: a per-tenant SLO miss, not a crash
-            self._inflight += 1
-            rec = RequestRecord(
-                tenant=req.tenant,
-                req_id=req.req_id,
-                codelet=req.codelet_name,
-                arrival_time=req.arrival_s,
-                failed=True,
-                delayed=req.delayed,
-                dispatch_time=dispatch_time,
-                batch_size=batch_size,
-            )
-            self._record_request(rec)
-            self._push(self.engine.clock.now, _COMPLETION, (req, rec))
+            self._fail_request(req, dispatch_time, batch_size)
             return
         transfer_s = sum(
             tr.end_time - tr.start_time
             for tr in self.trace.transfers[n_transfers:]
         )
+        self._settle(req, task, dispatch_time, batch_size, transfer_s)
+
+    def _fail_request(self, req: Request, dispatch_time: float,
+                      batch_size: int) -> None:
+        """Record a request whose task exhausted fault recovery."""
+        self._inflight += 1
+        rec = RequestRecord(
+            tenant=req.tenant,
+            req_id=req.req_id,
+            codelet=req.codelet_name,
+            arrival_time=req.arrival_s,
+            failed=True,
+            delayed=req.delayed,
+            dispatch_time=dispatch_time,
+            batch_size=batch_size,
+        )
+        self._record_request(rec)
+        self._push(self.engine.clock.now, _COMPLETION, (req, rec))
+
+    def _settle(self, req: Request, task, dispatch_time: float,
+                batch_size: int, transfer_s: float) -> None:
+        """Charge a dispatched request's service, learn its shape and
+        record it (completion pushed at the task's end time)."""
         service = task.end_time - task.start_time
         self.wfq.charge(req.tenant, service)
         sched = self.engine.scheduler
         if isinstance(sched, FairShareScheduler):
             sched.note_service(req.tenant, service)
         if task.chosen_variant is not None:
-            size = float(sum(h.nbytes for h in task.handles))
             self._shape_info[req.shape_key] = (
                 task.footprint(),
                 task.chosen_variant.name,
-                size,
+                float(task.operand_bytes()),
             )
         n, mean = self._shape_obs.get(req.shape_key, (0, 0.0))
         self._shape_obs[req.shape_key] = (n + 1, mean + (service - mean) / (n + 1))

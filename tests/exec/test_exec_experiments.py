@@ -47,6 +47,9 @@ def test_engine_bench_workloads():
     # raises if any timed window fell back to dmda instead of planning
     look = engine_bench.run_lookahead(n_tasks=300)
     assert look.tasks_per_s > 0 and look.n_tasks == 300
+    # raises if any timed task explored instead of pricing from history
+    dmda = engine_bench.run_dmda(n_tasks=300)
+    assert dmda.tasks_per_s > 0 and dmda.n_tasks == 300
 
 
 def test_engine_bench_main_writes_json(tmp_path, capsys):
@@ -56,6 +59,7 @@ def test_engine_bench_main_writes_json(tmp_path, capsys):
         "fanout",
         "chain",
         "lookahead",
+        "dmda",
     }
     for w in payload["workloads"]:
         assert w["floor_tasks_per_s"] == engine_bench.FLOORS[w["workload"]]

@@ -48,6 +48,40 @@ def test_history_separates_variants_and_footprints():
     assert model.predict(("c", (10,)), "b") == 5.0
 
 
+def test_history_version_bumps_on_new_key_only():
+    model = HistoryModel()
+    fp = ("c", (10,))
+    v0 = model.version
+    model.record(fp, "a", 1.0)
+    v1 = model.version
+    assert v1 > v0
+    live = model._table[(repr(fp), "a")]
+    model.record(fp, "a", 3.0)  # in place: the live reference sees it
+    assert model.version == v1
+    assert live.n == 2 and live.mean == 2.0
+    model.record(fp, "b", 1.0)  # new variant key
+    assert model.version > v1
+    model.record(("c", (20,)), "a", 1.0)  # new footprint key
+    assert model.version > v1 + 1
+
+
+def test_history_version_bumps_on_merge_replacement():
+    fp = ("c", (10,))
+    mine, theirs = PerfModel(), PerfModel()
+    mine.record(fp, "a", 1.0, 1.0)
+    for _ in range(3):
+        theirs.record(fp, "a", 1.0, 2.0)
+    before = mine.history.version
+    mine.merge_from(theirs)  # larger sample set replaces the stats object
+    assert mine.history.version > before
+    after = mine.history.version
+    mine.merge_from(PerfModel())  # nothing to add or replace
+    small = PerfModel()
+    small.record(fp, "a", 1.0, 9.0)
+    mine.merge_from(small)  # smaller sample set loses: kept as is
+    assert mine.history.version == after
+
+
 def test_history_min_samples_validation():
     with pytest.raises(ValueError):
         HistoryModel(min_samples=0)
