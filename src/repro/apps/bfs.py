@@ -9,6 +9,8 @@ C1060 collapses and the CPU stays competitive (Figure 6).
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from repro.apps._ifhelp import interface_from_decl
@@ -50,21 +52,27 @@ def _bfs(nodes, edges, n_nodes, source, costs):
     degrees = np.diff(nodes)
     while len(frontier):
         level += 1
-        # gather all outgoing edges of the frontier, vectorised
+        # gather all outgoing edges of the frontier with one repeat: the
+        # j-th gathered edge sits at its node's start plus j minus the
+        # number of frontier edges before that node
         deg = degrees[frontier]
-        total = int(deg.sum())
+        ends = np.cumsum(deg)
+        total = int(ends[-1])
         if total == 0:
             break
-        base = np.repeat(starts[frontier], deg)
-        offsets = np.arange(total) - np.repeat(
-            np.cumsum(deg) - deg, deg
-        )
-        neighbours = edges[base + offsets]
+        gather = np.repeat(starts[frontier] - (ends - deg), deg)
+        gather += np.arange(total)
+        neighbours = edges[gather]
         fresh = neighbours[costs[neighbours] < 0]
         if len(fresh) == 0:
             break
         costs[fresh] = level
-        frontier = np.unique(fresh)
+        # next frontier: the fresh nodes, sorted, each kept once
+        fresh.sort()
+        first = np.empty(len(fresh), dtype=bool)
+        first[0] = True
+        np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
+        frontier = fresh[first]
 
 
 def bfs_cpu(nodes, edges, n_nodes, n_edges, source, costs):
@@ -151,7 +159,15 @@ def register(repo) -> None:
 
 
 def reference(nodes, edges, n_nodes, source) -> np.ndarray:
-    """Dijkstra-free oracle via repeated relaxation (small graphs)."""
-    costs = np.full(n_nodes, -1, dtype=np.int32)
-    _bfs(nodes, edges, n_nodes, source, costs)
-    return costs
+    """Queue-based BFS over Python lists (independent oracle for ``_bfs``)."""
+    offsets, targets = nodes.tolist(), edges.tolist()
+    costs = [-1] * n_nodes
+    costs[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in targets[offsets[u]:offsets[u + 1]]:
+            if costs[v] < 0:
+                costs[v] = costs[u] + 1
+                queue.append(v)
+    return np.array(costs, dtype=np.int32)

@@ -122,15 +122,25 @@ def ode_init_kernel(y, n):
 
 
 def ode_rhs_kernel(y, k, n, t):
-    # Brusselator-like reaction + diffusion on a ring
-    left = np.roll(y, 1)
-    right = np.roll(y, -1)
-    k[:] = (
-        _BR_A
-        + y * y * (_BR_B / (1.0 + y * y))
-        - y
-        + _DIFF * (left - 2.0 * y + right)
-    ).astype(k.dtype)
+    # Brusselator-like reaction + diffusion on a ring:
+    #   A + y*y*(B/(1 + y*y)) - y + D*(left - 2*y + right)
+    # evaluated in that operation order, so the bytes match the plain
+    # expression, into two scratch arrays; left/right (the ring
+    # neighbours) are read through slices
+    yy = y * y
+    acc = np.add(1.0, yy)
+    np.divide(_BR_B, acc, out=acc)
+    np.multiply(yy, acc, out=acc)
+    np.add(_BR_A, acc, out=acc)
+    np.subtract(acc, y, out=acc)
+    lap = np.multiply(2.0, y, out=yy)
+    np.subtract(y[:-1], lap[1:], out=lap[1:])  # left - 2*y
+    np.subtract(y[-1:], lap[:1], out=lap[:1])
+    np.add(lap[:-1], y[1:], out=lap[:-1])  # + right
+    np.add(lap[-1:], y[:1], out=lap[-1:])
+    np.multiply(_DIFF, lap, out=lap)
+    np.add(acc, lap, out=acc)
+    k[:] = acc
 
 
 def ode_accum_kernel(du, k, a, h, n):

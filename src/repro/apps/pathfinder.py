@@ -30,13 +30,22 @@ INTERFACE = interface_from_decl(
 )
 
 
+#: stands in for the missing neighbour beyond either edge of a row
+_EDGE = np.iinfo(np.int64).max // 2
+
+
 def _pathfinder(wall, rows, cols, result):
     w = wall.reshape(rows, cols)
-    dist = w[0].astype(np.int64)
+    # dist lives in buf[1:-1]; the sentinel ends make the left and right
+    # neighbours plain views, so a row is three ufuncs and no allocation
+    buf = np.full(cols + 2, _EDGE, dtype=np.int64)
+    dist, left, right = buf[1:-1], buf[:-2], buf[2:]
+    dist[:] = w[0]
+    best = np.empty(cols, dtype=np.int64)
     for r in range(1, rows):
-        left = np.concatenate(([np.iinfo(np.int64).max // 2], dist[:-1]))
-        right = np.concatenate((dist[1:], [np.iinfo(np.int64).max // 2]))
-        dist = w[r] + np.minimum(dist, np.minimum(left, right))
+        np.minimum(left, right, out=best)
+        np.minimum(best, dist, out=best)
+        np.add(best, w[r], out=dist)
     result[:] = dist.astype(result.dtype)
 
 
@@ -120,6 +129,10 @@ def register(repo) -> None:
 
 
 def reference(wall, rows, cols) -> np.ndarray:
-    out = np.zeros(cols, dtype=np.int32)
-    _pathfinder(wall, rows, cols, out)
-    return out
+    """Row DP over Python lists (independent oracle for the NumPy sweep)."""
+    w = wall[: rows * cols].tolist()
+    dist = w[:cols]
+    for r in range(1, rows):
+        row = w[r * cols:(r + 1) * cols]
+        dist = [row[c] + min(dist[max(c - 1, 0):c + 2]) for c in range(cols)]
+    return np.array(dist, dtype=np.int32)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.errors import DescriptorError
 from repro.components.context import ContextParamDecl
@@ -59,6 +60,37 @@ class ParamDecl:
 
     def uses_type_param(self, type_params: tuple[str, ...]) -> bool:
         return self.base_type in type_params
+
+
+@dataclass(frozen=True)
+class CallLayout:
+    """Where an interface's parameters sit in a call, worked out once.
+
+    Entry-wrapper calls list the parameters in declaration order; the
+    runtime calls task functions with the operands first, then the
+    scalars.
+
+    Attributes
+    ----------
+    operands:
+        ``(position, param)`` of each pointer parameter, in declaration order.
+    scalars:
+        Positions of the plain value parameters, in declaration order.
+    context:
+        ``(position, name)`` of the scalars that enter the call context:
+        the declared context parameters, or every scalar when the
+        interface declares none.  Other scalars (offsets, time points,
+        coefficients) are payload and stay out of callee selection
+        (paper section III).
+    to_declared:
+        For each parameter in declaration order, its index in the
+        runtime's operands-then-scalars argument list.
+    """
+
+    operands: tuple[tuple[int, ParamDecl], ...]
+    scalars: tuple[int, ...]
+    context: tuple[tuple[int, str], ...]
+    to_declared: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -125,11 +157,30 @@ class InterfaceDescriptor:
 
     def operand_params(self) -> list[ParamDecl]:
         """Parameters that carry operand data (pointers / containers)."""
-        return [p for p in self.params if p.is_pointer]
+        return [p for _, p in self.layout.operands]
 
     def scalar_params(self) -> list[ParamDecl]:
         """Plain value parameters (sizes, coefficients, ...)."""
-        return [p for p in self.params if not p.is_pointer]
+        return [self.params[i] for i in self.layout.scalars]
+
+    @cached_property
+    def layout(self) -> CallLayout:
+        """The operand/scalar split of :attr:`params` (computed once)."""
+        operands = tuple((i, p) for i, p in enumerate(self.params) if p.is_pointer)
+        scalars = tuple(i for i, p in enumerate(self.params) if not p.is_pointer)
+        declared = {cp.name for cp in self.context_params}
+        context = tuple(
+            (i, self.params[i].name)
+            for i in scalars
+            if not declared or self.params[i].name in declared
+        )
+        runtime_order = [i for i, _ in operands] + list(scalars)
+        return CallLayout(
+            operands,
+            scalars,
+            context,
+            tuple(runtime_order.index(i) for i in range(len(self.params))),
+        )
 
     def signature(self) -> str:
         """C-style signature text (used in generated headers)."""

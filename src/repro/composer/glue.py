@@ -62,22 +62,17 @@ def make_backend_adapter(interface: InterfaceDescriptor, kernel):
     component implementation keeps its original mixed parameter order.
     The backend wrapper unpacks buffers and arguments and delegates.
     """
-    operand_names = [p.name for p in interface.operand_params()]
-    scalar_names = [p.name for p in interface.scalar_params()]
-    order = [p.name for p in interface.params]
+    n_args = len(interface.params)
+    n_ops = len(interface.layout.operands)
+    to_declared = interface.layout.to_declared
 
     def backend_wrapper(ctx, *args):
-        n_ops = len(operand_names)
-        buffers = args[:n_ops]
-        scalars = args[n_ops:]
-        if len(scalars) != len(scalar_names):
+        if len(args) != n_args:
             raise RuntimeSystemError(
-                f"{interface.name}: expected {len(scalar_names)} scalar "
-                f"arguments, got {len(scalars)}"
+                f"{interface.name}: expected {n_args - n_ops} scalar "
+                f"arguments, got {len(args) - n_ops}"
             )
-        by_name = dict(zip(operand_names, buffers))
-        by_name.update(zip(scalar_names, scalars))
-        return kernel(*(by_name[n] for n in order))
+        return kernel(*[args[i] for i in to_declared])
 
     backend_wrapper.__name__ = f"{interface.name}_backend"
     return backend_wrapper
@@ -260,30 +255,25 @@ def invoke_entry(
     executes it (section III's off-line constructed dispatch).
     """
     runtime.engine.clock.advance(WRAPPER_OVERHEAD_S)
-    params = list(interface.params)
-    if len(args) != len(params):
+    if len(args) != len(interface.params):
         raise CompositionError(
-            f"{interface.name}: expected {len(params)} arguments, got {len(args)}"
+            f"{interface.name}: expected {len(interface.params)} arguments, "
+            f"got {len(args)}"
         )
-    by_name = dict(zip((p.name for p in params), args))
+    layout = interface.layout
     operands: list[tuple[DataHandle, AccessMode]] = []
     temporaries: list[DataHandle] = []
-    for p in interface.operand_params():
-        handle, temp = as_operand(runtime, by_name[p.name], p.name)
+    for i, p in layout.operands:
+        handle, temp = as_operand(runtime, args[i], p.name)
         operands.append((handle, p.access))
         if temp:
             temporaries.append(handle)
-    scalars = tuple(by_name[p.name] for p in interface.scalar_params())
-    # the call context carries the *declared* context parameters — the
-    # interface names exactly the properties that may influence callee
-    # selection (paper section III); other scalars (offsets, time points,
-    # coefficients) are payload and stay out of the selection context
-    declared = {cp.name for cp in interface.context_params}
+    scalars = tuple(args[i] for i in layout.scalars)
+    # the call context carries the selection-relevant scalars only
     ctx = {
-        p.name: by_name[p.name]
-        for p in interface.scalar_params()
-        if isinstance(by_name[p.name], (int, float))
-        and (not declared or p.name in declared)
+        name: args[i]
+        for i, name in layout.context
+        if isinstance(args[i], (int, float))
     }
     force_sync = sync or bool(temporaries)
     if dispatch is not None:

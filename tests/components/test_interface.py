@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.components.context import ContextParamDecl
 from repro.components.interface import InterfaceDescriptor, ParamDecl
 from repro.errors import DescriptorError
 from repro.runtime.access import AccessMode
@@ -61,6 +62,29 @@ def test_operand_scalar_split():
     iface = _iface()
     assert [p.name for p in iface.operand_params()] == ["data"]
     assert [p.name for p in iface.scalar_params()] == ["n"]
+
+
+def test_call_layout_positions_and_context():
+    iface = InterfaceDescriptor(
+        "f",
+        params=(
+            ParamDecl("n", "int"),
+            ParamDecl("x", "float*", AccessMode.RW),
+            ParamDecl("alpha", "float"),
+            ParamDecl("y", "float*", AccessMode.W),
+        ),
+        context_params=(ContextParamDecl("n", "int"),),
+    )
+    layout = iface.layout
+    assert layout is iface.layout  # computed once per descriptor
+    assert [(i, p.name) for i, p in layout.operands] == [(1, "x"), (3, "y")]
+    assert layout.scalars == (0, 2)
+    assert layout.context == ((0, "n"),)
+    runtime_args = ("X", "Y", "N", "ALPHA")  # operands first, then scalars
+    assert [runtime_args[i] for i in layout.to_declared] == ["N", "X", "ALPHA", "Y"]
+    # without declared context parameters every scalar enters the context
+    undeclared = InterfaceDescriptor("g", params=iface.params)
+    assert undeclared.layout.context == ((0, "n"), (2, "alpha"))
 
 
 def test_signature_text():
