@@ -48,6 +48,7 @@ plans after a device loss).
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -209,6 +210,9 @@ class LookaheadScheduler(BulkScheduler):
         self.n_planned_tasks = 0
         self.n_fallback_tasks = 0
         self.n_fused_edges = 0
+        #: beam children scored, and skipped by the makespan lower bound
+        self.n_children_evaluated = 0
+        self.n_children_pruned = 0
 
     # ------------------------------------------------------------------
     # per-task commit (the engine's choose hot path)
@@ -276,18 +280,9 @@ class LookaheadScheduler(BulkScheduler):
 
         initial = self._initial_state(tasks, view)
 
-        # greedy dmda-style baseline under the identical cost model: each
-        # task keeps its minimum-(end, anchor unit) child
-        greedy = initial
-        for i, step in enumerate(steps):
-            greedy = min(
-                self._expand(greedy, i, step, view),
-                key=lambda s: (s.ends[-1], step.cands[s.choice[-1]][1][0]),
-            )
-            self._commit(greedy, i, step, view)
-
-        beam = self._beam(initial, steps, view)
-        best = beam[0]
+        # the greedy dmda-style baseline runs under the identical cost
+        # model, in lockstep with the beam
+        best, greedy = self._search(initial, steps, view)
         chosen = best if best.makespan < greedy.makespan - _EPS else greedy
         self.n_planned_windows += 1
         self.n_fused_edges += len(chosen.fused)
@@ -354,22 +349,115 @@ class LookaheadScheduler(BulkScheduler):
                     }
         return _SimState(list(view.worker_available_times()), {}, res, {})
 
-    def _beam(
+    def _search(
         self, initial: _SimState, steps: list[_Step], view: EngineView
-    ) -> list[_SimState]:
-        """Beam-pruned DP over joint (variant, worker) choices; returns
-        the final beam, best first.  Only survivors get their writes
-        committed — a pruned child never pays for them."""
-        beam = [initial]
+    ) -> tuple[_SimState, _SimState]:
+        """Beam DP over joint (variant, worker) choices with the greedy
+        baseline run in lockstep; returns (best final beam state, final
+        greedy state).
+
+        Each step keeps the ``beam_width`` children that sort first by
+        (makespan, sum(avail), choice) — exactly the ones sorting every
+        child would keep; the last step keeps only the first — but
+        branch-and-bound: children are scored in ascending order of a
+        makespan lower bound (:meth:`_bounds`), and once a bound exceeds
+        the largest makespan among the kept ones so far no later child
+        can make the cut.  Only survivors and the greedy pick are built.
+        """
+        width = self.beam_width
+        last = len(steps) - 1
+        # codes[k]: beam[k].choice read as a mixed-radix number (digit i
+        # in base len(steps[i].cands)), so codes order states as their
+        # equal-length choice tuples do
+        beam, codes = [initial], [0]
+        greedy, g = initial, 0  # g: greedy's index in beam, None once out
         for i, step in enumerate(steps):
-            grown = [
-                c for s in beam for c in self._expand(s, i, step, view)
+            n = len(step.cands)
+            # past the last step plan_window reads only the best state
+            keep = 1 if i == last else width
+            readies, bounds = self._bounds(beam, step)
+            scored = []
+            top: list[float] = []  # smallest scored makespans, ascending
+            mine = {}  # greedy's scored children by candidate
+            for lb, k, j in bounds:
+                if len(top) == keep and lb > top[-1]:
+                    break
+                child = self._score(beam[k], readies[k], i, step, j, view)
+                scored.append(
+                    (child[0], sum(child[2]), codes[k] * n + j, k, j, child)
+                )
+                if k == g:
+                    mine[j] = child
+                insort(top, child[0])
+                del top[keep:]
+            self.n_children_evaluated += len(scored)
+            self.n_children_pruned += len(bounds) - len(scored)
+            scored.sort()
+            del scored[keep:]
+
+            # greedy keeps its minimum-(end, anchor unit) child, the first
+            # in candidate order on ties; children the bound skipped (all
+            # of them once greedy left the beam) are scored here
+            ready = readies[g] if g is not None else self._ready(greedy, step)
+            kids = [
+                mine.get(j) or self._score(greedy, ready, i, step, j, view)
+                for j in range(n)
             ]
-            grown.sort(key=lambda s: (s.makespan, sum(s.avail), s.choice))
-            beam = grown[: self.beam_width]
-            for s in beam:
-                self._commit(s, i, step, view)
-        return beam
+            pick = min(
+                range(n), key=lambda j: (kids[j][1], step.cands[j][1][0])
+            )
+
+            parents, beam, codes, gk = beam, [], [], g
+            g = None
+            for m, (*_, code, k, j, child) in enumerate(scored):
+                beam.append(self._build(parents[k], i, step, j, child, view))
+                codes.append(code)
+                if k == gk and j == pick:
+                    g = m
+            greedy = (
+                beam[g]
+                if g is not None
+                else self._build(greedy, i, step, pick, kids[pick], view)
+            )
+        return beam[0], greedy
+
+    @staticmethod
+    def _ready(state: _SimState, step: _Step) -> float:
+        """When ``step``'s task may start in ``state`` by its dependencies
+        alone (no operand transfer yet)."""
+        ready = step.earliest
+        ends = state.ends
+        for d in step.deps:
+            if ends[d] > ready:
+                ready = ends[d]
+        return ready
+
+    def _bounds(
+        self, beam: list[_SimState], step: _Step
+    ) -> tuple[list[float], list[tuple[float, int, int]]]:
+        """Per beam state its dependency-ready time, and per (state k,
+        candidate j) child a makespan lower bound as ascending
+        ``(bound, k, j)``.
+
+        A child starts no earlier than its dependencies and every worker
+        of its placement, and its reads only delay it further; rounded
+        addition is monotone, so ``max(ready, avail[w] for w in wids) +
+        exec_s`` never exceeds the child's end in floats either.
+        """
+        readies = [self._ready(state, step) for state in beam]
+        bounds = []
+        for j, (_, wids, exec_s) in enumerate(step.cands):
+            for k, state in enumerate(beam):
+                avail = state.avail
+                t = readies[k]
+                for w in wids:
+                    if avail[w] > t:
+                        t = avail[w]
+                t += exec_s
+                makespan = state.makespan
+                bounds.append((t if t > makespan else makespan, k, j))
+        bounds.sort()
+        return readies, bounds
 
     @staticmethod
     def _transfer(
@@ -402,107 +490,113 @@ class LookaheadScheduler(BulkScheduler):
         link[key] = end
         return end
 
-    def _expand(
-        self, state: _SimState, i: int, step: _Step, view: EngineView
-    ) -> list[_SimState]:
-        """Every child of ``state`` at step ``i``, one per candidate, in
-        candidate order.  ``state`` is left untouched; the step's writes
-        are applied later by :meth:`_commit`."""
-        earliest, deps, reads, _, cands = step
+    def _score(
+        self,
+        state: _SimState,
+        ready: float,
+        i: int,
+        step: _Step,
+        j: int,
+        view: EngineView,
+    ) -> tuple:
+        """Simulate placing step ``i``'s task on candidate ``j`` after
+        ``state`` (``ready``: its dependency-ready time there); returns
+        ``(makespan, end, avail, link, res, host_seen, fused)``, the
+        parts :meth:`_build` turns into the child state.  ``state`` is
+        left untouched: a map the reads change is copied first."""
+        node, wids, exec_s = step.cands[j]
         fusion = self.fusion
-        ready = earliest
-        ends = state.ends
-        for d in deps:
-            if ends[d] > ready:
-                ready = ends[d]
-        s_res, s_seen, s_link = state.res, state.host_seen, state.link
-        s_avail, s_choice, s_make = state.avail, state.choice, state.makespan
-        s_fused = state.fused
-        children = []
-        for j, (node, wids, exec_s) in enumerate(cands):
-            data_ready = ready
-            res = s_res
-            seen_map = s_seen
-            link = s_link
-            fused = s_fused
-            for hid, nbytes in reads:
-                seen = seen_map.get(hid)
-                if not fusion and seen is not None:
-                    # conservative composition: the in-window intermediate
-                    # materializes on the host before any consumer
-                    t = seen[0]
-                    if node != HOST_NODE:
-                        t = t + view.transfer_time(HOST_NODE, node, nbytes)
-                    if t > data_ready:
-                        data_ready = t
-                    continue
-                rmap = res[hid]
-                t = rmap.get(node)
-                if t is not None:
-                    if (
-                        fusion
-                        and node != HOST_NODE
-                        and seen is not None
-                        and seen[1] == node
-                        and not seen[3]
-                    ):
-                        fused = fused + ((seen[2], i),)
-                else:
-                    # cheapest-ready valid source, host preferred (the
-                    # engine's pick_source tie-break)
-                    src, src_ready = HOST_NODE, None
-                    for n, r in rmap.items():
-                        if src_ready is None or r < src_ready:
-                            src, src_ready = n, r
-                    if res is s_res:  # first change: copy, never mutate
-                        res, link = res.copy(), link.copy()
-                    t = self._transfer(
-                        link, src, node, nbytes,
-                        max(ready, src_ready or 0.0), view,
-                    )
-                    # the staged copy becomes SHARED there
-                    res[hid] = {**rmap, node: t}
+        data_ready = ready
+        s_res = res = state.res
+        s_seen = seen_map = state.host_seen
+        link = state.link
+        fused = state.fused
+        for hid, nbytes in step.reads:
+            seen = seen_map.get(hid)
+            if not fusion and seen is not None:
+                # conservative composition: the in-window intermediate
+                # materializes on the host before any consumer
+                t = seen[0]
+                if node != HOST_NODE:
+                    t = t + view.transfer_time(HOST_NODE, node, nbytes)
                 if t > data_ready:
                     data_ready = t
-                if node == HOST_NODE and seen is not None and not seen[3]:
-                    if seen_map is s_seen:
-                        seen_map = seen_map.copy()
-                    seen_map[hid] = seen[:3] + (True,)  # a host reader
-            avail = s_avail[:]
-            start = data_ready  # and every worker of the placement free
-            for w in wids:
-                if avail[w] > start:
-                    start = avail[w]
-            end = start + exec_s
-            for w in wids:
-                avail[w] = end
-            children.append(_SimState(
-                avail, link, res, seen_map,
-                ends + (end,),
-                s_choice + (j,),
-                fused,
-                end if end > s_make else s_make,
-            ))
-        return children
+                continue
+            rmap = res[hid]
+            t = rmap.get(node)
+            if t is not None:
+                if (
+                    fusion
+                    and node != HOST_NODE
+                    and seen is not None
+                    and seen[1] == node
+                    and not seen[3]
+                ):
+                    fused = fused + ((seen[2], i),)
+            else:
+                # earliest-ready valid source: the first strictly earliest
+                # entry in the residency map's insertion order
+                src, src_ready = HOST_NODE, None
+                for n, r in rmap.items():
+                    if src_ready is None or r < src_ready:
+                        src, src_ready = n, r
+                if res is s_res:  # first change: copy, never mutate
+                    res, link = res.copy(), link.copy()
+                t = self._transfer(
+                    link, src, node, nbytes,
+                    max(ready, src_ready or 0.0), view,
+                )
+                # the staged copy becomes SHARED there
+                res[hid] = {**rmap, node: t}
+            if t > data_ready:
+                data_ready = t
+            if node == HOST_NODE and seen is not None and not seen[3]:
+                if seen_map is s_seen:
+                    seen_map = seen_map.copy()
+                seen_map[hid] = seen[:3] + (True,)  # a host reader
+        avail = state.avail[:]
+        start = data_ready  # and every worker of the placement free
+        for w in wids:
+            if avail[w] > start:
+                start = avail[w]
+        end = start + exec_s
+        for w in wids:
+            avail[w] = end
+        makespan = end if end > state.makespan else state.makespan
+        return makespan, end, avail, link, res, seen_map, fused
 
     @staticmethod
-    def _commit(
-        state: _SimState, i: int, step: _Step, view: EngineView
-    ) -> None:
-        """Apply the writes of ``state``'s last placement (step ``i``)."""
-        writes = step.writes
-        if not writes:
-            return
-        node = step.cands[state.choice[-1]][0]
-        end = state.ends[-1]
-        res = state.res = state.res.copy()
-        seen_map = state.host_seen = state.host_seen.copy()
-        for hid, nbytes in writes:
-            # MSI write: the target node becomes the sole owner
-            res[hid] = {node: end}
-            host_t = (
-                end
-                if node == HOST_NODE
-                else end + view.transfer_time(node, HOST_NODE, nbytes)
-            )
-            seen_map[hid] = (host_t, node, i, False)
+    def _build(
+        parent: _SimState,
+        i: int,
+        step: _Step,
+        j: int,
+        child: tuple,
+        view: EngineView,
+    ) -> _SimState:
+        """The state a scored child of ``parent`` stands for, with step
+        ``i``'s writes applied.  Call at most once per scored child: a map
+        the child already copied from ``parent`` is updated in place."""
+        makespan, end, avail, link, res, seen_map, fused = child
+        if step.writes:
+            node = step.cands[j][0]
+            if res is parent.res:
+                res = res.copy()
+            if seen_map is parent.host_seen:
+                seen_map = seen_map.copy()
+            for hid, nbytes in step.writes:
+                # MSI write: the target node becomes the sole owner
+                res[hid] = {node: end}
+                host_t = (
+                    end
+                    if node == HOST_NODE
+                    else end + view.transfer_time(node, HOST_NODE, nbytes)
+                )
+                seen_map[hid] = (host_t, node, i, False)
+        return _SimState(
+            avail, link, res, seen_map,
+            parent.ends + (end,),
+            parent.choice + (j,),
+            fused,
+            makespan,
+        )

@@ -7,6 +7,8 @@ access), calibration fallback, :class:`WindowPlan` introspection, the
 plan-vs-greedy guarantee, and fusion accounting.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.composer.lookahead import LookaheadScheduler, WindowPlan
 from repro.hw.presets import platform_c2050
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 from repro.runtime.schedulers import make_scheduler, policy_names
+from repro.runtime.schedulers.base import enumerate_candidates
 
 N = 4096
 
@@ -229,6 +232,43 @@ def test_task_counters_are_exhaustive():
     total = sched.n_planned_tasks + sched.n_fallback_tasks
     assert total == rt.trace.n_tasks
     assert sum(p.n_tasks for p in sched.plans) == total
+    rt.shutdown()
+
+
+def test_pruning_counters_account_for_every_child():
+    # every child of every beam state is either scored or skipped by the
+    # makespan lower bound; on a chain the bound skips some of them
+    width = 8
+    rt = _runtime(window_size=8, beam_width=width)
+    cl = _codelet()
+    _calibrate(rt, cl)
+    sched = rt.scheduler
+    before = sched.n_children_evaluated + sched.n_children_pruned
+    plan_window = sched.plan_window
+    children = 0
+
+    def counting_plan_window(tasks, view):
+        nonlocal children
+        plan_window(tasks, view)
+        if sched.plans[-1].fallback:
+            return
+        beam = 1  # the beam keeps min(width, children) states per step
+        for task in tasks:
+            n = len(enumerate_candidates(task, view))
+            children += beam * n
+            beam = min(width, beam * n)
+
+    h = rt.register(np.zeros(N, dtype=np.float32), "chain")
+    with mock.patch.object(sched, "plan_window", counting_plan_window):
+        for i in range(24):
+            rt.submit(cl, [(h, "rw")], name=f"link{i}")
+        rt.wait_for_all()
+    assert children > 0
+    assert (
+        sched.n_children_evaluated + sched.n_children_pruned - before
+        == children
+    )
+    assert sched.n_children_pruned > 0
     rt.shutdown()
 
 
