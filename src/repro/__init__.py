@@ -22,10 +22,9 @@ The package provides:
 - :mod:`repro.apps` / :mod:`repro.direct` — ten PEPPHERized applications
   (SpMV, SGEMM, Rodinia kernels, a Runge-Kutta ODE solver) in both
   tool-mode and hand-written-runtime form.
-- :mod:`repro.exec` — real-concurrency execution backends (thread and
-  process pools) behind the codelet API: kernels genuinely overlap, are
-  wall-clock timed, and feed the performance model's ``measured``
-  provenance; ``Session.submit_async`` exposes an asyncio surface.
+- :mod:`repro.exec` — a real-concurrency thread-pool execution backend
+  behind the codelet API: kernels genuinely overlap, are wall-clock
+  timed, and feed the performance model's ``measured`` provenance.
 
 See ``DESIGN.md`` for the system inventory and the per-experiment index and
 ``EXPERIMENTS.md`` for paper-vs-measured results.

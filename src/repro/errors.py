@@ -86,24 +86,6 @@ class ExecBackendError(RuntimeSystemError):
     failed structurally (pool broken, backend closed, ...)."""
 
 
-class VariantNotPicklableError(ExecBackendError):
-    """A codelet variant's kernel function cannot be shipped to a
-    process pool: it is not importable/picklable (e.g. a lambda or a
-    closure).  Raised at registration/submission time — naming the
-    codelet and variant — instead of surfacing as an opaque
-    ``PicklingError`` mid-run."""
-
-    def __init__(self, codelet: str, variant: str, reason: str) -> None:
-        super().__init__(
-            f"codelet {codelet!r}, variant {variant!r}: kernel is not "
-            f"usable with a process pool ({reason}); define the kernel "
-            "as a module-level function so worker processes can import it"
-        )
-        self.codelet = codelet
-        self.variant = variant
-        self.reason = reason
-
-
 class StaleModelError(RuntimeSystemError):
     """A persisted performance model does not match the current machine
     description or model-format version; it must be recalibrated, never

@@ -10,8 +10,6 @@ simulated  none (inline)         default; byte-identical to every
                                  earlier release; pure simulation studies
 thread     real (GIL-releasing   NumPy/BLAS-heavy kernels; shared memory,
            kernels overlap)      one clock domain, zero copy cost
-process    real (separate        Python-bound kernels that hold the GIL;
-           interpreters)         operands are shipped and copied back
 ========== ===================== =========================================
 
 Real backends wall-clock every kernel (``time.perf_counter_ns`` inside
@@ -38,25 +36,15 @@ from repro.exec.base import (
     make_backend,
     timed_call,
 )
-from repro.exec.process import ProcessPoolBackend
 from repro.exec.simulated import SimulatedBackend
 from repro.exec.thread import ThreadPoolBackend
-from repro.exec.validate import (
-    picklability_problem,
-    validate_codelet_picklable,
-    validate_variant_picklable,
-)
 
 __all__ = [
     "ExecFuture",
     "ExecutionBackend",
     "Measurement",
-    "ProcessPoolBackend",
     "SimulatedBackend",
     "ThreadPoolBackend",
     "make_backend",
-    "picklability_problem",
     "timed_call",
-    "validate_codelet_picklable",
-    "validate_variant_picklable",
 ]

@@ -9,15 +9,11 @@ and how the kernel computation runs**:
   engine path used since the first PR, byte-identical;
 - :class:`~repro.exec.thread.ThreadPoolBackend` dispatches kernels to a
   ``ThreadPoolExecutor`` so GIL-releasing NumPy kernels genuinely
-  overlap, each wall-clock timed in its worker;
-- :class:`~repro.exec.process.ProcessPoolBackend` ships kernels to
-  worker processes (picklability validated up front), copies written
-  operands back, and times inside the worker.
+  overlap, each wall-clock timed in its worker.
 
-The engine talks to backends through two calls: ``prepare_codelet``
-(registration-time validation, e.g. picklability for process pools) and
-``dispatch_task`` (returns an :class:`ExecFuture` the engine joins at
-the data-hazard/barrier points).  Layers below the engine — calibration,
+The engine talks to backends through one call, ``dispatch_task``
+(returns an :class:`ExecFuture` the engine joins at the
+data-hazard/barrier points).  Layers below the engine — calibration,
 tests, ad-hoc measurement — use ``submit_kernel`` / ``measure``
 directly.
 """
@@ -31,7 +27,6 @@ from repro.errors import ExecBackendError
 from repro.exec.timing import Measurement, timed_call
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.codelet import Codelet
     from repro.runtime.task import Task
 
 
@@ -39,8 +34,7 @@ class ExecFuture:
     """Handle on one in-flight kernel execution.
 
     ``result()`` blocks until the kernel finished and returns its
-    :class:`~repro.exec.timing.Measurement`; backends that execute out
-    of process apply operand write-backs before returning.  ``cancel()``
+    :class:`~repro.exec.timing.Measurement`.  ``cancel()``
     withdraws a kernel that has not started (queued behind a busy pool);
     a cancelled future's ``result()`` raises
     :class:`concurrent.futures.CancelledError`.
@@ -92,7 +86,7 @@ class ExecutionBackend:
     Attributes
     ----------
     name:
-        Stable backend identifier ("simulated", "thread", "process"),
+        Stable backend identifier ("simulated", "thread"),
         recorded in every :class:`~repro.exec.timing.Measurement` and in
         calibration provenance.
     inline:
@@ -105,10 +99,6 @@ class ExecutionBackend:
     inline: bool = True
 
     # -- engine-facing surface ------------------------------------------------
-
-    def prepare_codelet(self, codelet: "Codelet") -> None:
-        """Registration-time validation hook; raises a structured error
-        (never a mid-run one) when a codelet cannot run on this backend."""
 
     def dispatch_task(self, task: "Task") -> ExecFuture:
         """Start the chosen variant's kernel for ``task``; non-blocking
@@ -124,18 +114,12 @@ class ExecutionBackend:
         ctx: Mapping[str, object],
         arrays: Sequence,
         scalar_args: tuple = (),
-        writes: Sequence[int] = (),
         *,
         codelet: str = "",
         variant: str = "",
         task_id: int = -1,
     ) -> ExecFuture:
-        """Run ``fn(ctx, *arrays, *scalar_args)`` on this backend.
-
-        ``writes`` lists the indices of ``arrays`` the kernel mutates —
-        needed by out-of-process backends to copy results back; inline
-        and thread backends share memory and ignore it.
-        """
+        """Run ``fn(ctx, *arrays, *scalar_args)`` on this backend."""
         raise NotImplementedError
 
     def measure(
@@ -144,7 +128,6 @@ class ExecutionBackend:
         ctx: Mapping[str, object],
         arrays: Sequence,
         scalar_args: tuple = (),
-        writes: Sequence[int] = (),
         warmup: int = 1,
         reps: int = 3,
         *,
@@ -162,7 +145,7 @@ class ExecutionBackend:
                 f"measure needs warmup >= 0 and reps >= 1, got "
                 f"warmup={warmup}, reps={reps}"
             )
-        kw = dict(writes=writes, codelet=codelet, variant=variant)
+        kw = dict(codelet=codelet, variant=variant)
         for _ in range(warmup):
             self.submit_kernel(fn, ctx, arrays, scalar_args, **kw).result()
         return [
@@ -186,23 +169,21 @@ class ExecutionBackend:
 
 
 def make_backend(spec: "str | ExecutionBackend", **options) -> ExecutionBackend:
-    """Resolve a backend by name (``"simulated"``, ``"thread"``,
-    ``"process"``) with ``options`` as constructor keywords; instances
-    pass through (options then disallowed)."""
+    """Resolve a backend by name (``"simulated"``, ``"thread"``) with
+    ``options`` as constructor keywords; instances pass through (options
+    then disallowed)."""
     if isinstance(spec, ExecutionBackend):
         if options:
             raise ExecBackendError(
                 "backend options only apply when the backend is given by name"
             )
         return spec
-    from repro.exec.process import ProcessPoolBackend
     from repro.exec.simulated import SimulatedBackend
     from repro.exec.thread import ThreadPoolBackend
 
     factories = {
         "simulated": SimulatedBackend,
         "thread": ThreadPoolBackend,
-        "process": ProcessPoolBackend,
     }
     try:
         factory = factories[spec]

@@ -10,7 +10,7 @@ traces to every earlier release.
 It still implements the full direct surface (``submit_kernel`` /
 ``measure``), returning already-resolved futures, so calibration code
 written against :class:`~repro.exec.base.ExecutionBackend` runs
-unchanged on all three backends.
+unchanged on both backends.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class SimulatedBackend(ExecutionBackend):
         ctx: Mapping[str, object],
         arrays: Sequence,
         scalar_args: tuple = (),
-        writes: Sequence[int] = (),
         *,
         codelet: str = "",
         variant: str = "",

@@ -76,13 +76,11 @@ class ThreadPoolBackend(ExecutionBackend):
         ctx: Mapping[str, object],
         arrays: Sequence,
         scalar_args: tuple = (),
-        writes: Sequence[int] = (),
         *,
         codelet: str = "",
         variant: str = "",
         task_id: int = -1,
     ) -> ExecFuture:
-        # shared memory: ``writes`` is irrelevant, mutations are visible
         self._check_open()
         inner = self._pool.submit(
             timed_call,

@@ -1,17 +1,15 @@
 """Wall-clock kernel timing: the measurement side of :mod:`repro.exec`.
 
 Every kernel invocation a real backend runs is bracketed by
-``time.perf_counter_ns`` *inside the worker that executes it* (pool
-thread or worker process), so the span covers exactly the kernel — no
-queueing, no future plumbing.  :class:`Measurement` carries the span in
-nanoseconds plus enough identity (codelet, variant, backend, worker) to
-feed the performance-model store's ``measured`` provenance and to let
-tests assert that independent kernels genuinely overlapped.
+``time.perf_counter_ns`` *inside the pool thread that executes it*, so
+the span covers exactly the kernel — no queueing, no future plumbing.
+:class:`Measurement` carries the span in nanoseconds plus enough
+identity (codelet, variant, backend, worker) to feed the
+performance-model store's ``measured`` provenance and to let tests
+assert that independent kernels genuinely overlapped.
 
-Spans from one backend share a clock domain (``perf_counter_ns`` of the
-host process for threads, of each worker process for process pools);
-cross-process *span comparison* is therefore meaningless while
-*durations* are always valid.
+Spans from one process share a clock domain (``perf_counter_ns`` of the
+host process), so span overlap between kernels is meaningful.
 """
 
 from __future__ import annotations
@@ -37,14 +35,13 @@ class Measurement:
     start_ns: int
     #: ``perf_counter_ns`` at kernel exit, in the executing worker
     end_ns: int
-    #: backend that ran the kernel ("simulated", "thread", "process")
+    #: backend that ran the kernel ("simulated", "thread")
     backend: str
-    #: executing worker (thread name or ``pid:<n>``)
+    #: executing worker (thread name)
     worker: str = ""
 
     def overlaps(self, other: "Measurement") -> bool:
-        """Whether two spans overlap (same clock domain only: spans of
-        one thread backend, or of one worker process)."""
+        """Whether two spans overlap (same clock domain only)."""
         return self.start_ns < other.end_ns and other.start_ns < self.end_ns
 
     def to_dict(self) -> dict:

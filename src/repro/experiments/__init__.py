@@ -18,12 +18,23 @@ module                    paper artefact
 ``faults``                fault-injection / recovery resilience study
 ``backends``              analytical-vs-measured exec differential
 ``engine_bench``          engine submit/schedule/complete throughput
+``planner``               lookahead planner vs greedy dmda
+``devices``               coarse vs detailed device-model tiers
+``serving``               multi-tenant serving on one machine
+``cluster``               cluster serving under chaos
+``tuning``                cold vs store-warmed composition
 ========================  =====================================
+
+The nine study CLIs (``python -m repro.experiments.<module>`` for
+``backends`` through ``tuning``) share one flag set, output layout and
+exit status through :mod:`~repro.experiments.runner`.
 """
 
 __all__ = [
     "ablations",
     "backends",
+    "cluster",
+    "devices",
     "engine_bench",
     "faults",
     "fig3",
@@ -31,5 +42,9 @@ __all__ = [
     "fig6",
     "fig7",
     "overhead",
+    "planner",
+    "runner",
+    "serving",
     "table1",
+    "tuning",
 ]

@@ -3,9 +3,8 @@
 The simulated engine predicts variant timings from analytic device cost
 models; :mod:`repro.exec` actually *runs* the kernels and wall-clocks
 them.  This harness runs the same component invocations through a
-:class:`~repro.exec.thread.ThreadPoolBackend` (composed-app kernels are
-closures, so the process pool is out) and compares the two populations
-per codelet, per variant, per size rung:
+:class:`~repro.exec.thread.ThreadPoolBackend` and compares the two
+populations per codelet, per variant, per size rung:
 
 - **scale-normalized model error** — analytical and wall-clock times
   live in different time bases (a simulated Fermi GPU vs. this host's
@@ -26,17 +25,15 @@ not collect any measured sample (backend wiring regression).
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from repro.apps import sgemm, spmv
 from repro.composer.glue import lower_component
 from repro.errors import SchedulingError
 from repro.exec import ThreadPoolBackend
+from repro.experiments import runner
 from repro.hw.presets import platform_c2050
 from repro.runtime.runtime import Runtime
 
@@ -247,42 +244,22 @@ def format_diff(diffs: Sequence[ComponentDiff]) -> str:
     return "\n".join(lines)
 
 
-_RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.backends",
-        description="analytical-vs-measured execution backend differential",
+    args = runner.parse(
+        "backends",
+        "analytical-vs-measured execution backend differential",
+        argv,
     )
-    parser.add_argument(
-        "--smoke", action="store_true", help="smaller ladder / fewer reps for CI"
-    )
-    parser.add_argument(
-        "--outdir",
-        type=Path,
-        default=_RESULTS_DIR,
-        help=f"where BENCH_backends.json lands (default {_RESULTS_DIR})",
-    )
-    args = parser.parse_args(argv)
-
     diffs = run(smoke=args.smoke)
-    print(format_diff(diffs))
-
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    bench = args.outdir / "BENCH_backends.json"
-    bench.write_text(
-        json.dumps(
-            {"smoke": args.smoke, "components": [d.to_dict() for d in diffs]},
-            indent=1,
-        )
-        + "\n"
-    )
-    print(f"wrote {bench}")
     # gate on the wiring, not the agreement: disagreement with the
     # paper's modeled hardware is a finding, a missing measurement is a bug
-    ok = all(d.rows for d in diffs)
-    return 0 if ok else 1
+    return runner.report(
+        args,
+        "backends",
+        {"components": [d.to_dict() for d in diffs]},
+        all(d.rows for d in diffs),
+        {"backends_diff": format_diff(diffs)},
+    )
 
 
 if __name__ == "__main__":

@@ -31,11 +31,8 @@ is virtual-time simulation: every number is deterministic.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.cluster import (
     BrownoutPolicy,
@@ -49,6 +46,7 @@ from repro.cluster import (
     recovery_stats,
 )
 from repro.cluster.slo import RecoveryStats
+from repro.experiments import runner
 from repro.serve.slo import SloReport, format_slo_report
 
 #: protected tenants' latency budget: well above the healthy tail,
@@ -383,50 +381,26 @@ def format_chaos_ablation(
 # CLI entry point
 # ---------------------------------------------------------------------------
 
-_RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.cluster",
-        description="cluster chaos study (virtual time, seeded)",
+    args = runner.parse(
+        "cluster", "cluster chaos study (virtual time, seeded)", argv
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small sweep for CI: fewer nodes and requests, same gates",
-    )
-    parser.add_argument(
-        "--outdir",
-        type=Path,
-        default=_RESULTS_DIR,
-        help=f"where the table and BENCH_cluster.json land "
-        f"(default {_RESULTS_DIR})",
-    )
-    args = parser.parse_args(argv)
-
     if args.smoke:
         result, base_report, chaos_report = run_chaos_ablation(
             n_nodes=6, n_requests=6_000, rate_hz=10_000.0
         )
     else:
         result, base_report, chaos_report = run_chaos_ablation()
-
     table = format_chaos_ablation(result, base_report, chaos_report)
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    (args.outdir / "cluster_chaos.txt").write_text(table + "\n")
-    print(table)
-    summary = {"smoke": args.smoke, "chaos": result.to_dict()}
-    bench = args.outdir / "BENCH_cluster.json"
-    bench.write_text(json.dumps(summary, indent=1) + "\n")
-    print(f"\nwrote {bench}")
-    if not result.passed():
-        print(
-            "FAILED: recovery/SLO budget blown, invariants violated, "
-            "or chaos runs diverged"
-        )
-        return 1
-    return 0
+    # fails if a recovery/SLO budget is blown, an invariant is violated
+    # or the two same-seed chaos runs diverged
+    return runner.report(
+        args,
+        "cluster",
+        {"chaos": result.to_dict()},
+        result.passed(),
+        {"cluster_chaos": table},
+    )
 
 
 if __name__ == "__main__":

@@ -40,13 +40,11 @@ chains for CI.
 
 from __future__ import annotations
 
-import argparse
-import json
-from pathlib import Path
 
 import numpy as np
 
 from repro.apps.costkit import gpu_time, ncores_of, openmp_time
+from repro.experiments import runner
 from repro.hw.devices import AccessPattern
 from repro.hw.model import KernelProfile
 from repro.hw.presets import machine
@@ -359,33 +357,20 @@ def format_results(doc: dict) -> str:
     return "\n".join(lines)
 
 
-_RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.devices",
-        description="coarse vs detailed device-model ablation over the zoo",
+    args = runner.parse(
+        "devices",
+        "coarse vs detailed device-model ablation over the zoo",
+        argv,
     )
-    parser.add_argument(
-        "--smoke", action="store_true", help="shorter chains for CI"
-    )
-    parser.add_argument(
-        "--outdir",
-        type=Path,
-        default=_RESULTS_DIR,
-        help=f"where BENCH_devices.json lands (default {_RESULTS_DIR})",
-    )
-    args = parser.parse_args(argv)
-
     doc = run(smoke=args.smoke)
-    print(format_results(doc))
-
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    bench = args.outdir / "BENCH_devices.json"
-    bench.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {bench}")
-    return 0 if doc["within_budget"] else 1
+    return runner.report(
+        args,
+        "devices",
+        doc,
+        doc["within_budget"],
+        {"devices_fidelity": format_results(doc)},
+    )
 
 
 if __name__ == "__main__":

@@ -42,11 +42,9 @@ up among the hottest frames.
 
 from __future__ import annotations
 
-import argparse
 import cProfile
 import gc
 import io
-import json
 import pstats
 import time
 from dataclasses import dataclass
@@ -54,6 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.experiments import runner
 from repro.hw.presets import platform_c2050
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
@@ -378,51 +377,29 @@ def profile_workloads(n_tasks: int, seed: int = 0) -> tuple[str, list[str]]:
     return text, offenders
 
 
-_RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.engine_bench",
-        description="engine submit/schedule/complete throughput",
+    args = runner.parse(
+        "engine_bench",
+        "engine submit/schedule/complete throughput",
+        argv,
+        extra={
+            "--profile": dict(
+                action="store_true",
+                help="cProfile each workload, write BENCH_engine_profile.txt, "
+                "and fail if a zero-subscriber event emitter shows up in the "
+                f"top {_COLD_TOP} cumulative frames",
+            )
+        },
     )
-    parser.add_argument(
-        "--smoke", action="store_true", help="smaller task counts for CI"
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="cProfile each workload, write BENCH_engine_profile.txt, and "
-        "fail if a zero-subscriber event emitter shows up in the top "
-        f"{_COLD_TOP} cumulative frames",
-    )
-    parser.add_argument(
-        "--outdir",
-        type=Path,
-        default=_RESULTS_DIR,
-        help=f"where BENCH_engine.json lands (default {_RESULTS_DIR})",
-    )
-    args = parser.parse_args(argv)
-
     results = run(smoke=args.smoke)
-    print(format_results(results))
-
     ok = all(r.tasks_per_s >= r.floor for r in results)
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    bench = args.outdir / "BENCH_engine.json"
-    bench.write_text(
-        json.dumps(
-            {
-                "smoke": args.smoke,
-                "within_budget": ok,
-                "workloads": [r.to_dict() for r in results],
-            },
-            indent=1,
-        )
-        + "\n"
+    status = runner.report(
+        args,
+        "engine",
+        {"within_budget": ok, "workloads": [r.to_dict() for r in results]},
+        ok,
+        {"engine_throughput": format_results(results)},
     )
-    print(f"wrote {bench}")
-
     if args.profile:
         text, offenders = profile_workloads(
             n_tasks=1000 if args.smoke else 5000
@@ -435,8 +412,8 @@ def main(argv: list[str] | None = None) -> int:
                 "profile gate FAILED: known-cold functions in the top "
                 f"{_COLD_TOP}: {', '.join(offenders)}"
             )
-            ok = False
-    return 0 if ok else 1
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -19,13 +19,12 @@ number is reproducible.
 
 from __future__ import annotations
 
-import argparse
-import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from repro.errors import InvariantViolation, PeppherError, UnrecoverableTaskError
+from repro.experiments import runner
 from repro.experiments.fig6 import SCENARIOS, AppScenario
 from repro.hw.faults import FaultModel
 from repro.hw.presets import platform_c2050
@@ -276,26 +275,16 @@ def device_loss_study(
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.faults",
-        description="fault-injection ablation (virtual time, seeded)",
+    args = runner.parse(
+        "faults",
+        "fault-injection ablation (virtual time, seeded)",
+        argv,
+        check=True,
+        extra={
+            "--app": dict(default="sgemm", choices=sorted(SCENARIOS)),
+            "--seed": dict(type=int, default=0),
+        },
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny sweep for CI: two policies, two rates, one rep, "
-        "with trace invariant checking on",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="validate every run's trace at shutdown (implied by --smoke)",
-    )
-    parser.add_argument("--app", default="sgemm", choices=sorted(SCENARIOS))
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    check = True if (args.check or args.smoke) else None
     if args.smoke:
         study = fault_study(
             app=args.app,
@@ -304,24 +293,23 @@ def main(argv: list[str] | None = None) -> int:
             reps=1,
             calls=2,
             seed=args.seed,
-            check=check,
         )
         rows = device_loss_study(
             app=args.app,
             policies=("eager", "dmda"),
             loss_fractions=(0.5,),
             seed=args.seed,
-            check=check,
         )
     else:
-        study = fault_study(app=args.app, seed=args.seed, check=check)
-        rows = device_loss_study(app=args.app, seed=args.seed, check=check)
-    print(format_fault_study(study))
-    print()
-    print(format_device_loss_study(rows))
-    if check:
-        print("\ntrace invariant checking: every run validated at shutdown")
-    return 0
+        study = fault_study(app=args.app, seed=args.seed)
+        rows = device_loss_study(app=args.app, seed=args.seed)
+    doc = {"study": asdict(study), "device_loss": [asdict(r) for r in rows]}
+    tables = {
+        "faults_sweep": format_fault_study(study),
+        "faults_device_loss": format_device_loss_study(rows),
+    }
+    return runner.report(args, "faults", doc, True, tables)
+
 
 
 def format_device_loss_study(rows: list[DeviceLossRow]) -> str:

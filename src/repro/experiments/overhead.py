@@ -20,20 +20,18 @@ overhead, measured in process CPU time over symmetric off/on run
 sequences with a best-run-ratio estimator (each choice exists to
 survive noisy shared CI machines; see :func:`run_obs_overhead`).  ``python -m repro.experiments.overhead``
 writes ``benchmarks/results/BENCH_obs.json`` and exits non-zero on a
-budget violation — which is what the CI ``obs`` job runs with
+budget violation — which is what the CI ``bench`` job runs with
 ``--smoke``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from repro.experiments import runner
 from repro.hw.presets import platform_c2050
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 
@@ -234,27 +232,10 @@ def format_obs_result(result: ObsOverheadResult) -> str:
 # CLI entry point
 # ---------------------------------------------------------------------------
 
-_RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.overhead",
-        description="runtime task overhead + observability overhead",
+    args = runner.parse(
+        "overhead", "runtime task overhead + observability overhead", argv
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="smaller task count / fewer reps for CI",
-    )
-    parser.add_argument(
-        "--outdir",
-        type=Path,
-        default=_RESULTS_DIR,
-        help=f"where BENCH_obs.json lands (default {_RESULTS_DIR})",
-    )
-    args = parser.parse_args(argv)
-
     if args.smoke:
         # runs must be long enough (hundreds of ms) that machine-load
         # oscillation averages out within each rep
@@ -263,29 +244,24 @@ def main(argv: list[str] | None = None) -> int:
     else:
         base = run()
         obs = run_obs_overhead()
-    print(format_result(base))
-    print()
-    print(format_obs_result(obs))
-
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    bench = args.outdir / "BENCH_obs.json"
-    bench.write_text(
-        json.dumps(
-            {
-                "smoke": args.smoke,
-                "task_overhead": {
-                    "n_tasks": base.n_tasks,
-                    "virtual_us_per_task": base.virtual_us_per_task,
-                    "wall_us_per_task": base.wall_us_per_task,
-                },
-                "obs_overhead": obs.to_dict(),
-            },
-            indent=1,
-        )
-        + "\n"
+    doc = {
+        "task_overhead": {
+            "n_tasks": base.n_tasks,
+            "virtual_us_per_task": base.virtual_us_per_task,
+            "wall_us_per_task": base.wall_us_per_task,
+        },
+        "obs_overhead": obs.to_dict(),
+    }
+    return runner.report(
+        args,
+        "obs",
+        doc,
+        obs.within_budget,
+        {
+            "overhead_task": format_result(base),
+            "overhead_obs": format_obs_result(obs),
+        },
     )
-    print(f"wrote {bench}")
-    return 0 if obs.within_budget else 1
 
 
 if __name__ == "__main__":

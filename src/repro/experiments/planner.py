@@ -38,13 +38,11 @@ fails (``--smoke`` shrinks the chain for CI).  Gates:
 
 from __future__ import annotations
 
-import argparse
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from repro.experiments import runner
 from repro.hw.description import HOST_NODE
 from repro.hw.presets import platform_c2050
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
@@ -314,33 +312,18 @@ def format_results(doc: dict) -> str:
     return "\n".join(lines)
 
 
-_RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.planner",
-        description="lookahead planner vs greedy dmda ablation",
+    args = runner.parse(
+        "planner", "lookahead planner vs greedy dmda ablation", argv
     )
-    parser.add_argument(
-        "--smoke", action="store_true", help="shorter chain for CI"
-    )
-    parser.add_argument(
-        "--outdir",
-        type=Path,
-        default=_RESULTS_DIR,
-        help=f"where BENCH_planner.json lands (default {_RESULTS_DIR})",
-    )
-    args = parser.parse_args(argv)
-
     doc = run(smoke=args.smoke)
-    print(format_results(doc))
-
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    bench = args.outdir / "BENCH_planner.json"
-    bench.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {bench}")
-    return 0 if doc["within_budget"] else 1
+    return runner.report(
+        args,
+        "planner",
+        doc,
+        doc["within_budget"],
+        {"planner_ablation": format_results(doc)},
+    )
 
 
 if __name__ == "__main__":

@@ -27,12 +27,10 @@ number is deterministic and the wall-clock cost is bookkeeping only.
 
 from __future__ import annotations
 
-import argparse
 import copy
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from repro.experiments import runner
 from repro.hw.description import MachineDescription
 from repro.hw.presets import platform_c2050
 from repro.runtime.perfmodel import PerfModel
@@ -442,39 +440,13 @@ def format_fairness_ablation(result: FairnessAblationResult) -> str:
 # CLI entry point
 # ---------------------------------------------------------------------------
 
-_RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.serving",
-        description="multi-tenant serving study (virtual time, seeded)",
+    args = runner.parse(
+        "serving",
+        "multi-tenant serving study (virtual time, seeded)",
+        argv,
+        check=True,
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny sweep for CI: one tenant count, short runs, "
-        "with trace invariant checking on",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="validate every run's trace at shutdown (implied by --smoke)",
-    )
-    parser.add_argument(
-        "--outdir",
-        type=Path,
-        default=_RESULTS_DIR,
-        help=f"where tables and BENCH_serve.json land (default {_RESULTS_DIR})",
-    )
-    args = parser.parse_args(argv)
-
-    if args.check or args.smoke:
-        # every Runtime the study builds (including calibration) then
-        # validates its trace at shutdown
-        from repro.check.config import set_default_check
-
-        set_default_check(True)
     if args.smoke:
         study = run_serving_study(
             rates=(4000.0, 16000.0), tenant_counts=(2,), n_requests=120
@@ -485,27 +457,17 @@ def main(argv: list[str] | None = None) -> int:
         study = run_serving_study()
         adm = admission_ablation()
         fair = fairness_ablation()
-
+    doc = {
+        "study": study.to_dict(),
+        "admission": adm.to_dict(),
+        "fairness": fair.to_dict(),
+    }
     tables = {
         "serving_study": format_serving_study(study),
         "serving_admission": format_admission_ablation(adm),
         "serving_fairness": format_fairness_ablation(fair),
     }
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    for name, text in tables.items():
-        (args.outdir / f"{name}.txt").write_text(text + "\n")
-        print(text)
-        print()
-    summary = {
-        "smoke": args.smoke,
-        "study": study.to_dict(),
-        "admission": adm.to_dict(),
-        "fairness": fair.to_dict(),
-    }
-    bench = args.outdir / "BENCH_serve.json"
-    bench.write_text(json.dumps(summary, indent=1) + "\n")
-    print(f"wrote {bench}")
-    return 0
+    return runner.report(args, "serve", doc, True, tables)
 
 
 if __name__ == "__main__":

@@ -175,7 +175,7 @@ class Engine:
             :mod:`repro.exec`).  ``None`` and *inline* backends (e.g.
             :class:`~repro.exec.simulated.SimulatedBackend`) keep the
             original synchronous path byte-identical; real backends
-            (thread/process pools) dispatch kernels as futures that the
+            (thread pools) dispatch kernels as futures that the
             engine joins at data-hazard and host-access points, and
             every joined kernel feeds a wall-clock sample into the
             performance model under the ``"measured"`` provenance.
@@ -509,10 +509,6 @@ class Engine:
         """Submit one task; with ``sync=True``, block until it completes."""
         if self._shutdown:
             self._check_alive()
-        if not self._exec_inline and self.run_kernels:
-            # fail fast (e.g. unpicklable kernels on a process pool)
-            # before the task mutates any engine state
-            self.exec_backend.prepare_codelet(task.codelet)
         operands = task.operands
         # one pass validates operands and collects the implicit
         # dependencies via sequential data consistency (StarPU's R/W

@@ -86,7 +86,7 @@ class Runtime:
         ``"replay"`` policy.
     exec_backend:
         Where kernels actually execute (see :mod:`repro.exec`): a
-        backend name (``"simulated"``, ``"thread"``, ``"process"``), a
+        backend name (``"simulated"``, ``"thread"``), a
         backend instance, or ``None`` (default) for the original inline
         path.  A backend given by name is owned by this runtime and
         closed at shutdown; an instance is borrowed (callers sharing a

@@ -27,7 +27,6 @@ Typical use::
     print(report.for_tenant("light").p99_s)
 """
 
-from repro.serve.aio import AsyncClient
 from repro.serve.admission import (
     AdmissionController,
     AdmissionOutcome,
@@ -58,7 +57,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionOutcome",
     "AdmissionPolicy",
-    "AsyncClient",
     "BatchPolicy",
     "ClosedLoopClient",
     "Coalescer",

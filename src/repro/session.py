@@ -79,7 +79,7 @@ class Session:
         follows the session across :meth:`restart`.
     exec_backend:
         Where kernel computations actually run (see :mod:`repro.exec`):
-        a backend name (``"simulated"``, ``"thread"``, ``"process"``),
+        a backend name (``"simulated"``, ``"thread"``),
         a backend instance, or ``None`` (default) for the original
         inline path.  A backend named here is owned by the session —
         shared across :meth:`restart` and closed at :meth:`shutdown`;
@@ -143,7 +143,6 @@ class Session:
             exec_backend = make_backend(exec_backend)
             self._own_backend = True
         self.exec_backend = exec_backend
-        self._aio_pool = None  # lazy serializer for submit_async
         self._runtime_kwargs = {
             "scheduler": scheduler,
             "scheduler_options": dict(scheduler_options or {}),
@@ -204,9 +203,6 @@ class Session:
     def shutdown(self) -> float:
         """Drain, persist models (when a store is configured), close."""
         t = self.runtime.shutdown()
-        if self._aio_pool is not None:
-            self._aio_pool.shutdown(wait=True)
-            self._aio_pool = None
         if self._own_backend and self.exec_backend is not None:
             self.exec_backend.close()
         return t
@@ -284,75 +280,6 @@ class Session:
     def measurements(self):
         """Wall-clock kernel measurements (real exec backends only)."""
         return self.runtime.measurements
-
-    # -- asyncio surface ------------------------------------------------------
-
-    def _serializer(self):
-        """Single-worker executor serializing engine access for asyncio.
-
-        The engine is a single-threaded state machine; funneling every
-        async submit/wait through one worker thread keeps it that way
-        while letting the *kernels* (dispatched to the exec backend from
-        that worker) overlap freely.
-        """
-        if self._aio_pool is None:
-            import concurrent.futures
-
-            self._aio_pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-session-aio"
-            )
-        return self._aio_pool
-
-    async def submit_async(
-        self,
-        codelet,
-        operands: Sequence,
-        ctx: Mapping[str, object] | None = None,
-        scalar_args: tuple = (),
-        priority: int = 0,
-        name: str = "",
-    ):
-        """Submit a task and await its completion (asyncio-native).
-
-        Submission and completion are two separate hops on the session's
-        serializer thread, so ``asyncio.gather`` over several
-        ``submit_async`` calls submits *all* tasks before waiting on any
-        of them — with a real execution backend their kernels genuinely
-        overlap.  Returns the completed :class:`~repro.runtime.task.Task`.
-        """
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        pool = self._serializer()
-        task = await loop.run_in_executor(
-            pool,
-            lambda: self.runtime.submit(
-                codelet,
-                operands,
-                ctx=ctx,
-                scalar_args=scalar_args,
-                priority=priority,
-                name=name,
-            ),
-        )
-        await loop.run_in_executor(
-            pool, lambda: self.runtime.engine.wait_for_task(task)
-        )
-        return task
-
-    async def submit_batch_async(self, requests: Sequence[Mapping]):
-        """Submit many tasks concurrently and await them all.
-
-        Each request is a mapping of :meth:`submit_async` keyword
-        arguments (``codelet`` and ``operands`` required, e.g.
-        ``{"codelet": c, "operands": [(h, "rw")], "ctx": {...}}``).
-        Returns the completed tasks in request order.
-        """
-        import asyncio
-
-        return await asyncio.gather(
-            *(self.submit_async(**dict(req)) for req in requests)
-        )
 
     # -- trace export --------------------------------------------------------
 

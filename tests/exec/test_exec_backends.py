@@ -11,7 +11,6 @@ import pytest
 from repro.errors import ExecBackendError
 from repro.exec import (
     Measurement,
-    ProcessPoolBackend,
     SimulatedBackend,
     ThreadPoolBackend,
     make_backend,
@@ -139,8 +138,6 @@ def test_thread_backend_rejects_use_after_close():
 def test_backend_rejects_bad_max_workers():
     with pytest.raises(ExecBackendError):
         ThreadPoolBackend(max_workers=0)
-    with pytest.raises(ExecBackendError):
-        ProcessPoolBackend(max_workers=0)
 
 
 def test_measure_warmup_and_reps():
@@ -154,13 +151,3 @@ def test_measure_warmup_and_reps():
     assert len(ms) == 3  # warmup runs are discarded
     assert len(calls) == 5
 
-
-def test_process_backend_write_back():
-    with ProcessPoolBackend(max_workers=1) as b:
-        x = np.zeros(8)
-        m = b.submit_kernel(
-            _add_one, {}, (x,), writes=(0,), codelet="c", variant="v"
-        ).result(timeout=60)
-        assert np.all(x == 1)  # child's writes copied back into parent
-        assert m.backend == "process"
-        assert m.worker.startswith("pid:")

@@ -2,13 +2,11 @@
 
 Covers the acceptance criteria: the default path stays byte-identical
 with repro.exec imported, real backends preserve data-hazard order and
-values, kernel failures surface as structured errors at join points,
-and the process pool validates picklability at submission.
+values, and kernel failures surface as structured errors at join points.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -17,8 +15,8 @@ import pytest
 import repro.exec  # noqa: F401 -- byte-identity must hold with it imported
 from conftest import make_axpy_codelet, vecs
 from repro import Session
-from repro.errors import KernelExecutionError, VariantNotPicklableError
-from repro.exec import ProcessPoolBackend, SimulatedBackend, ThreadPoolBackend
+from repro.errors import KernelExecutionError
+from repro.exec import SimulatedBackend, ThreadPoolBackend
 from repro.hw.presets import platform_c2050
 from repro.runtime import Arch, Codelet, ImplVariant, Runtime
 from repro.runtime.trace_export import canonical_chrome_json
@@ -84,6 +82,8 @@ def test_hazard_chain_order_on_thread_backend():
     for _ in range(5):
         expected = expected * 2 + 1
     assert np.all(y == expected)
+    m = rt.measurements[0]
+    assert m.backend == "thread" and m.worker.startswith("repro-exec")
     rt.shutdown()
 
 
@@ -145,63 +145,6 @@ def test_kernel_exception_wrapped_at_join():
     rt.submit(codelet, [(h, "rw")])
     with pytest.raises(KernelExecutionError, match="b_cpu.*thread.*disaster"):
         rt.wait_for_all()
-
-
-def test_process_backend_rejects_lambda_at_submit():
-    codelet = Codelet(
-        "lam",
-        [ImplVariant("lam_cpu", Arch.CPU, lambda ctx, y: None, lambda ctx, dev: 1e-5)],
-    )
-    rt = Runtime(platform_c2050(), scheduler="eager", exec_backend="process")
-    h = rt.register(np.zeros(4), "h")
-    with pytest.raises(VariantNotPicklableError) as exc_info:
-        rt.submit(codelet, [(h, "rw")])
-    assert exc_info.value.codelet == "lam"
-    assert exc_info.value.variant == "lam_cpu"
-    assert "lambda" in str(exc_info.value)
-
-
-def _scale_by_three(ctx, y):
-    y *= 3
-
-
-def test_process_backend_runs_module_level_kernel():
-    codelet = Codelet(
-        "scale",
-        [ImplVariant("scale_cpu", Arch.CPU, _scale_by_three, lambda ctx, dev: 1e-5)],
-    )
-    rt = Runtime(
-        platform_c2050(),
-        scheduler="eager",
-        exec_backend=ProcessPoolBackend(max_workers=1),
-    )
-    y = np.full(8, 2.0)
-    h = rt.register(y, "y")
-    rt.submit(codelet, [(h, "rw")])
-    rt.acquire(h, "r")  # joins the kernel, applies the write-back
-    assert np.all(y == 6.0)
-    m = rt.measurements[0]
-    assert m.backend == "process" and m.worker.startswith("pid:")
-    rt.shutdown()
-    rt.exec_backend.close()
-
-
-def _kill_worker(ctx, y):
-    os._exit(13)  # simulate a segfaulting native kernel
-
-
-def test_process_worker_crash_surfaces_as_kernel_error():
-    backend = ProcessPoolBackend(max_workers=1)
-    codelet = Codelet(
-        "crash",
-        [ImplVariant("crash_cpu", Arch.CPU, _kill_worker, lambda ctx, dev: 1e-5)],
-    )
-    rt = Runtime(platform_c2050(), scheduler="eager", exec_backend=backend)
-    h = rt.register(np.zeros(4), "h")
-    rt.submit(codelet, [(h, "rw")])
-    with pytest.raises(KernelExecutionError, match="crash_cpu.*process"):
-        rt.wait_for_all()
-    backend.close()
 
 
 def test_session_owns_named_backend_and_closes_it():

@@ -181,10 +181,24 @@ def _run_dag(
     return rt, tasks
 
 
-@given(segments=_SEGMENTS, primes=_PRIMES, window=_WINDOW)
+#: a DAG on which one window's beam beats its greedy baseline, so the
+#: DAG-edge, guard and plan <= greedy checks run on a real DP plan on
+#: every run (with 64-element handles transfers are too cheap for the
+#: beam to ever beat greedy)
+BEATS_GREEDY = dict(
+    segments=[("chain", 1, 2)], primes=[False] * N_HANDLES, window=3,
+    n=1 << 16,
+)
+
+
+@given(
+    segments=_SEGMENTS, primes=_PRIMES, window=_WINDOW,
+    n=st.sampled_from([N, 1 << 16]),
+)
+@example(**BEATS_GREEDY)
 @settings(max_examples=25, deadline=None)
-def test_random_dag_windows_plan_legally(segments, primes, window):
-    rt, tasks = _run_dag(segments, primes, window)
+def test_random_dag_windows_plan_legally(segments, primes, window, n):
+    rt, tasks = _run_dag(segments, primes, window, n=n)
     sched = rt.scheduler
 
     # the calibrated DAG phase must actually have produced planned
@@ -194,6 +208,9 @@ def test_random_dag_windows_plan_legally(segments, primes, window):
     assert planned, "no window was planned after calibration"
     for plan in planned:
         assert plan.planned_makespan <= plan.greedy_makespan + 1e-9
+    drawn = dict(segments=segments, primes=primes, window=window, n=n)
+    if drawn == BEATS_GREEDY:
+        assert any(p.planned_makespan < p.greedy_makespan for p in planned)
 
     # the committed schedule respects every DAG edge
     by_id = {t.task_id: t for t in tasks}
